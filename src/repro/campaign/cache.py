@@ -90,7 +90,7 @@ class ResultCache:
         ``run_campaign`` exports this via
         :data:`repro.rtl.compile.PROGRAM_CACHE_ENV` so every worker's
         :class:`~repro.rtl.compile.CompiledSimulator` reuses levelization +
-        codegen for identical design topologies instead of recompiling per
+        codegen for identical design topologies instead of redoing them per
         process.  Program entries carry their own compiler fingerprint in
         the digest, so they invalidate independently of the result entries
         (which glob only this directory's top level, not this subtree).

@@ -34,6 +34,7 @@ from repro.core.drivers.macro_lib import SoftwareMacroLibrary
 from repro.core.drivers.wire_format import beat_count, deserialize_io, serialize_io
 from repro.core.params import FuncParams, IOParams, ModuleParams
 from repro.core.syntax.errors import SpliceGenerationError
+from repro.rtl.signal import mask_for_width
 
 Value = Union[int, Sequence[int]]
 
@@ -200,6 +201,18 @@ class GeneratedDriver:
             raise SpliceGenerationError(
                 f"{self.func.func_name} is missing argument(s): {', '.join(missing)}"
             )
+        # A count crosses the bus masked to its declared width, so a count
+        # that does not fit would leave the stub expecting fewer elements
+        # than the driver sends.
+        for io in self.func.inputs:
+            if io.used_as_index:
+                limit = mask_for_width(io.io_width)
+                count = int(bound[io.io_name])
+                if not 0 <= count <= limit:
+                    raise SpliceGenerationError(
+                        f"{self.func.func_name}: count parameter {io.io_name!r} "
+                        f"({io.io_type}) holds at most {limit}, got {count}"
+                    )
         return bound
 
     def _element_count(self, io: IOParams, bound: Dict[str, Value]) -> int:

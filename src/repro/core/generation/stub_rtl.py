@@ -89,8 +89,6 @@ class FunctionStub(Module):
 
         #: Number of completed activations (useful for tests and examples).
         self.activations = 0
-        #: History of captured input dictionaries, most recent last.
-        self.call_log: List[Dict[str, Union[int, List[int]]]] = []
 
         # Declaring the ICOB's complete SIS-side input set opts it into the
         # compiled kernel's wait-state elision: an idle stub (sitting in an
@@ -513,7 +511,6 @@ class FunctionStub(Module):
         between the retained Python path and the FSM IR, whose CALC state
         expresses only the countdown)."""
         result = self.behavior(**{name: value for name, value in self._captured.items()})
-        self.call_log.append(dict(self._captured))
         self.activations += 1
         self._output_words = self._build_output_words(result)
         self._out_index = 0
@@ -579,5 +576,4 @@ class FunctionStub(Module):
         self._calc_until = 0
         self._pending_read = False
         if full:
-            self.call_log = []
             self.activations = 0

@@ -83,7 +83,22 @@ The testbench side of a simulation lives inside the same generated loop:
 * **Persistent programs** — levelization + generated source are cached on
   disk (:class:`CompiledProgramCache`, ``SPLICE_COMPILE_CACHE``), keyed by
   a digest of the design topology and this compiler's own fingerprint, so
-  identical designs skip recompilation across processes.
+  identical designs skip levelization and codegen across processes.  A hit
+  does not skip Python's ``compile()`` of the generated text, which is most
+  of a freeze's cost; first-call compilation (below) is what bounds that.
+
+First-call compilation
+----------------------
+
+A freeze emits four entry points (:data:`ENTRY_POINTS`): ``step``,
+``wait_eq``, ``wait_ge`` and ``settle_once``.  The first three each carry
+their own copy of the fused cycle body, yet most freezes call only one or
+two of them (the freeze inside ``reset()`` calls only ``settle_once``).  So
+a freeze stops at the per-entry source, and each entry is compiled and
+executed on its first call through ``step``, ``wait_until`` or ``settle``;
+it then stays until the next registration.  :meth:`CompiledSimulator.compile`
+compiles all four, which surfaces any codegen error at once and gives a
+benchmark an untimed warm-up.
 
 ``tests/test_kernel_equivalence.py`` proves the whole construction
 cycle-exact (full signal traces, every cycle, plus identical monitor
@@ -109,19 +124,24 @@ from repro.rtl.simulator import Process, SimulationError, Simulator, WaitConditi
 #: directory.  When set (or when a cache is passed to the constructor),
 #: levelization + codegen results are reused across processes for identical
 #: design topologies — campaign workers and repeated ``build_system`` calls
-#: skip recompilation entirely.
+#: skip levelization and codegen (not Python's ``compile()`` of the result).
 PROGRAM_CACHE_ENV = "SPLICE_COMPILE_CACHE"
 
 #: Fingerprint of this compiler's own source: baked into every design digest
 #: so a change to the code generator invalidates all cached programs.
 _COMPILER_FINGERPRINT = hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
 
+#: The generated entry points, in the order :attr:`CompiledDesign.source`
+#: lists them.  Each is compiled on its first call after a freeze.
+ENTRY_POINTS = ("step", "wait_eq", "wait_ge", "settle_once")
+
 
 class CompiledProgramCache:
     """A directory of codegen results keyed by design digest.
 
     Entries are single JSON files (``<digest>.json``) holding the generated
-    source plus the levelization (``order``/``ranks``) needed to rebuild the
+    source of each entry point (``sources``, keyed by name) plus the
+    levelization (``order``/``ranks``) needed to rebuild the
     :class:`CompiledDesign` introspection record without re-running Kahn's
     algorithm.  The digest covers the complete design topology *and* the
     compiler's own source fingerprint, so a hit is only possible for a design
@@ -143,7 +163,8 @@ class CompiledProgramCache:
         path = self._path(digest)
         try:
             payload = json.loads(path.read_text())
-            if not isinstance(payload.get("source"), str):
+            sources = {name: payload["sources"][name] for name in ENTRY_POINTS}
+            if not all(isinstance(text, str) for text in sources.values()):
                 raise ValueError("missing source")
             order = [int(x) for x in payload["order"]]
             ranks = {int(k): int(v) for k, v in payload["ranks"].items()}
@@ -151,13 +172,15 @@ class CompiledProgramCache:
             self.misses += 1
             return None
         self.hits += 1
-        return {"source": payload["source"], "order": order, "ranks": ranks}
+        return {"sources": sources, "order": order, "ranks": ranks}
 
-    def put(self, digest: str, source: str, order: List[int], ranks: Dict[int, int]) -> Path:
+    def put(
+        self, digest: str, sources: Dict[str, str], order: List[int], ranks: Dict[int, int]
+    ) -> Path:
         path = self._path(digest)
         payload = {
             "digest": digest,
-            "source": source,
+            "sources": dict(sources),
             "order": list(order),
             "ranks": {str(k): v for k, v in ranks.items()},
         }
@@ -207,7 +230,8 @@ class CompiledDesign:
     gated_clocked: Tuple[int, ...] = ()
     #: Number of clocked processes that always run.
     always_clocked: int = 0
-    #: The generated fused step-loop source (debugging aid).
+    #: The generated source of every entry point, in :data:`ENTRY_POINTS`
+    #: order (debugging aid).
     source: str = ""
     #: Number of monitors inlined into the generated loop (vs. called).
     fused_monitors: int = 0
@@ -268,7 +292,8 @@ class CompiledSimulator(Simulator):
     Shares the full registration API of :class:`~repro.rtl.simulator.Simulator`
     but requires every combinational process to declare ``sensitive_to`` and
     ``drives``.  Registration after a freeze simply invalidates the compiled
-    program; the next ``step``/``settle``/``reset`` re-freezes.
+    program; the next ``step``/``wait_until``/``settle``/``reset``
+    re-freezes, and each entry point compiles on its first call.
 
     ``max_settle_iterations`` is accepted for API compatibility but unused:
     combinational loops are rejected statically at compile time instead of
@@ -314,10 +339,12 @@ class CompiledSimulator(Simulator):
         self._comb_all = 0
         self._gated_all = 0
         self._mon_all = 0
-        self._step_fn: Optional[Callable[[int], None]] = None
-        self._settle_fn: Optional[Callable[[], int]] = None
-        self._wait_eq_fn: Optional[Callable[[Signal, int, int], int]] = None
-        self._wait_ge_fn: Optional[Callable[[Signal, int, int], int]] = None
+        # The frozen program: the source of each entry point (None until a
+        # freeze), the namespace the entries execute in, and the entries
+        # compiled so far (see _entry).
+        self._sources: Optional[Dict[str, str]] = None
+        self._namespace: Dict[str, object] = {}
+        self._entries: Dict[str, Callable] = {}
         if program_cache is None:
             program_cache = _default_program_cache()
         elif isinstance(program_cache, (str, Path)):
@@ -334,8 +361,12 @@ class CompiledSimulator(Simulator):
 
     # -- registration (every mutation invalidates the compiled program) -----
 
+    def _invalidate(self) -> None:
+        self._sources = None
+        self._entries = {}
+
     def add_signal(self, signal: Signal) -> Signal:
-        self._step_fn = None
+        self._invalidate()
         self._signals.append(signal)
         signal.bind(self)
         if signal._next is not None:
@@ -345,7 +376,7 @@ class CompiledSimulator(Simulator):
     def add_clocked(
         self, process: Process, sensitive_to: Optional[Sequence[Signal]] = None
     ) -> Process:
-        self._step_fn = None
+        self._invalidate()
         return super().add_clocked(process, sensitive_to=sensitive_to)
 
     def add_comb(
@@ -354,11 +385,11 @@ class CompiledSimulator(Simulator):
         sensitive_to: Optional[Sequence[Signal]] = None,
         drives: Optional[Sequence[Signal]] = None,
     ) -> Process:
-        self._step_fn = None
+        self._invalidate()
         return super().add_comb(process, sensitive_to=sensitive_to, drives=drives)
 
     def add_monitor(self, process: Process) -> Process:
-        self._step_fn = None
+        self._invalidate()
         return super().add_monitor(process)
 
     # -- signal event hooks --------------------------------------------------
@@ -378,7 +409,7 @@ class CompiledSimulator(Simulator):
         is attached — a clean design compiles to byte-identical source with
         an unchanged digest, so fault support costs fault-free runs nothing.
         """
-        self._step_fn = None
+        self._invalidate()
         super().inject_faults(controller)
 
     def _fire_faults(self) -> None:
@@ -446,20 +477,33 @@ class CompiledSimulator(Simulator):
     # -- compilation ---------------------------------------------------------
 
     def compile(self) -> CompiledDesign:
-        """Freeze the registered design and build the fused step program.
+        """Freeze the registered design and compile every entry point.
 
         Safe to call repeatedly; recompiles only after a registration.
         Raises :class:`SimulationError` for combinational cycles or missing
-        ``sensitive_to``/``drives`` declarations.
+        ``sensitive_to``/``drives`` declarations.  Running a design needs no
+        explicit call (each entry point compiles on its first use); this one
+        compiles them all up front, so every codegen error surfaces here and
+        a benchmark can warm up outside its timed region.
         """
-        if self._step_fn is None:
-            self._build()
+        for name in ENTRY_POINTS:
+            self._entry(name)
         assert self.design is not None
         return self.design
 
     def _ensure_compiled(self) -> None:
-        if self._step_fn is None:
+        if self._sources is None:
             self._build()
+
+    def _entry(self, name: str) -> Callable:
+        """The entry point ``name``, freezing and compiling it on first use."""
+        fn = self._entries.get(name)
+        if fn is None:
+            self._ensure_compiled()
+            namespace = self._namespace
+            exec(compile(self._sources[name], "<compiled-kernel>", "exec"), namespace)
+            fn = self._entries[name] = namespace[name]
+        return fn
 
     def _levelize(self) -> Tuple[List[int], Dict[int, int]]:
         """Rank the comb processes; reject cycles with the signal path."""
@@ -746,16 +790,16 @@ class CompiledSimulator(Simulator):
         if cached is not None:
             order = cached["order"]
             ranks = cached["ranks"]
-            source = cached["source"]
+            sources = cached["sources"]
         else:
             order, ranks = self._levelize()
-            source = self._codegen(
+            sources = self._codegen(
                 order, gated, always, n_comb, mon_entry, mon_body, mon_exit,
                 fused_clocked, fused_comb,
                 leap_info=leap_info if leap_static else None,
             )
             if cache is not None:
-                cache.put(digest, source, order, ranks)
+                cache.put(digest, sources, order, ranks)
 
         levels: List[List[int]] = []
         for pid in order:
@@ -775,11 +819,10 @@ class CompiledSimulator(Simulator):
             namespace.update(spec["namespace"])
         for spec in fused_comb.values():
             namespace.update(spec["namespace"])
-        exec(compile(source, "<compiled-kernel>", "exec"), namespace)
-        self._step_fn = namespace["step"]  # type: ignore[assignment]
-        self._settle_fn = namespace["settle_once"]  # type: ignore[assignment]
-        self._wait_eq_fn = namespace["wait_eq"]  # type: ignore[assignment]
-        self._wait_ge_fn = namespace["wait_ge"]  # type: ignore[assignment]
+        # No entry is compiled here: _entry compiles each on its first call.
+        self._namespace = namespace
+        self._sources = sources
+        self._entries = {}
 
         self.design = CompiledDesign(
             signal_ids=signal_ids,
@@ -788,7 +831,7 @@ class CompiledSimulator(Simulator):
             levels=levels,
             gated_clocked=tuple(gated),
             always_clocked=len(always),
-            source=source,
+            source="\n\n".join(sources[name] for name in ENTRY_POINTS),
             fused_monitors=fused_monitors,
             fused_clocked=len(fused_clocked),
             fused_comb=len(fused_comb),
@@ -819,8 +862,8 @@ class CompiledSimulator(Simulator):
         fused_clocked: Optional[Dict[int, dict]] = None,
         fused_comb: Optional[Dict[int, dict]] = None,
         leap_info: Optional[dict] = None,
-    ) -> str:
-        """Emit the fused step loop (and wait loops) for the frozen design.
+    ) -> Dict[str, str]:
+        """Emit the source of every entry point, keyed by name.
 
         The per-cycle body — clocked phase, inline commit, rank-ordered
         settle sweep, fused/called monitors — is shared verbatim between
@@ -829,6 +872,8 @@ class CompiledSimulator(Simulator):
         the lowered form of :class:`~repro.rtl.simulator.WaitCondition`).
         The wait loops check the signal's committed slot between cycles, so a
         whole driver-call wait executes inside one generated-function call.
+        ``settle_once`` is the settle sweep alone.  Each source is a
+        self-contained definition, compiled on its own.
 
         ``fused_clocked`` / ``fused_comb`` carry the lowered FSM-IR machines
         (see :meth:`_fsm_blocks`): their bodies replace the ``c<cid>()`` /
@@ -1079,7 +1124,7 @@ def {name}(sig, target, limit):
     return _done
 """
 
-        return f"""\
+        step_fn = f"""\
 def step(n):
     s = SIM
     sched = s._sched
@@ -1091,12 +1136,9 @@ def step(n):
 {cycle_body("n")}
     finally:
 {stats_flush}
+"""
 
-
-{wait_fn("wait_eq", "sig._value != target")}
-
-{wait_fn("wait_ge", "sig._value < target")}
-
+        settle_fn = f"""\
 def settle_once():
     s = SIM
     if not (s._events & {comb_all}):
@@ -1112,6 +1154,12 @@ def settle_once():
         stats.comb_activations += _comb
     return 1
 """
+        return {
+            "step": step_fn,
+            "wait_eq": wait_fn("wait_eq", "sig._value != target"),
+            "wait_ge": wait_fn("wait_ge", "sig._value < target"),
+            "settle_once": settle_fn,
+        }
 
     def _declaration_violation(self, late_mask: int) -> None:
         """Raise for comb bits that arrived after their levelized position."""
@@ -1178,13 +1226,10 @@ def settle_once():
 
     def settle(self) -> int:
         """Run one rank-ordered sweep if anything is pending; return passes."""
-        self._ensure_compiled()
-        return self._settle_fn()
+        return self._entry("settle_once")()
 
     def step(self, cycles: int = 1) -> None:
-        if self._step_fn is None:
-            self._build()
-        self._step_fn(cycles)
+        self._entry("step")(cycles)
 
     def wait_until(self, condition: WaitCondition, timeout: int = 100_000) -> int:
         """Run the lowered wait: the whole wait is one generated-loop call.
@@ -1194,8 +1239,7 @@ def settle_once():
         per-cycle condition check is a slot comparison inside the fused loop
         instead of a Python-level ``step()`` round trip.
         """
-        self._ensure_compiled()
-        fn = self._wait_eq_fn if condition.op == "==" else self._wait_ge_fn
+        fn = self._entry("wait_eq" if condition.op == "==" else "wait_ge")
         elapsed = fn(condition.signal, condition.value, timeout)
         if elapsed < 0:
             raise SimulationError(

@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as stdlib_queue
 import shutil
 import tempfile
 import threading
 import time
+from multiprocessing import connection
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
@@ -182,7 +182,10 @@ class SimulationFarm:
         self._draining = False
         self._started_at: Optional[float] = None
         self._ctx = multiprocessing.get_context()
-        self._result_queue = None
+        # Any thread wakes the dispatcher by writing to this pipe; workers
+        # each report on a pipe of their own (see repro.service.worker).
+        self._wake_reader = self._wake_writer = None
+        self._wake_lock = threading.Lock()
         self._dispatcher: Optional[threading.Thread] = None
         self.counters = {
             "cells_total": 0,
@@ -217,10 +220,9 @@ class SimulationFarm:
     def start(self) -> "SimulationFarm":
         if self._running:
             return self
-        self._result_queue = self._ctx.Queue()
+        self._wake_reader, self._wake_writer = self._ctx.Pipe(duplex=False)
         self._workers = [
-            spawn_worker(self._ctx, worker_id, self._result_queue,
-                         self.cache.program_cache_dir, self.preload)
+            spawn_worker(self._ctx, worker_id, self.cache.program_cache_dir, self.preload)
             for worker_id in range(self.worker_count)
         ]
         self._running = True
@@ -247,7 +249,7 @@ class SimulationFarm:
                 if not job.is_terminal:
                     job.pending_shards.clear()
                     job.enter_state(CANCELLED, reason="farm stopped")
-        self._result_queue.put(("wake",))
+        self._wake()
         self._dispatcher.join(timeout=10)
         for handle in self._workers:
             try:
@@ -261,8 +263,9 @@ class SimulationFarm:
                 handle.process.join(timeout=2)
             handle.task_queue.close()
             handle.task_queue.cancel_join_thread()
-        self._result_queue.close()
-        self._result_queue.cancel_join_thread()
+            handle.results.close()
+        self._wake_reader.close()
+        self._wake_writer.close()
         if self._journal is not None:
             self._journal.close()
         if self._ephemeral_cache_dir is not None:
@@ -324,7 +327,7 @@ class SimulationFarm:
             )
             self._admit_campaign(job, cached)
         self._journal_sync()
-        self._result_queue.put(("wake",))
+        self._wake()
         return job
 
     def submit_fuzz(
@@ -362,7 +365,7 @@ class SimulationFarm:
             )
             self._admit_fuzz(job, restored={})
         self._journal_sync()
-        self._result_queue.put(("wake",))
+        self._wake()
         return job
 
     def _check_accepting(self) -> None:
@@ -525,7 +528,7 @@ class SimulationFarm:
                 # cells were never promised beyond the journal.
                 continue
         if live:
-            self._result_queue.put(("wake",))
+            self._wake()
 
     def _readmit(self, record: JournaledJob) -> None:
         if record.kind == FUZZ:
@@ -639,29 +642,40 @@ class SimulationFarm:
 
     # -- dispatcher --------------------------------------------------------------
 
+    def _wake(self) -> None:
+        """Cut the dispatcher's wait short (safe from any thread)."""
+        with self._wake_lock:
+            self._wake_writer.send(("wake",))
+
     def _dispatch_loop(self) -> None:
         while True:
+            # Only this thread replaces workers, so the list needs no lock.
+            readers = [w.results for w in self._workers if not w.results.closed]
             try:
-                message = self._result_queue.get(timeout=self._poll_interval_s)
-            except stdlib_queue.Empty:
-                message = None
-            except (EOFError, OSError):
+                ready = connection.wait(readers + [self._wake_reader],
+                                        timeout=self._poll_interval_s)
+            except OSError:
                 return
             with self._cond:
                 if not self._running:
                     return
-                if message is not None:
-                    self._handle(message)
-                while True:  # drain whatever else already arrived
-                    try:
-                        self._handle(self._result_queue.get_nowait())
-                    except stdlib_queue.Empty:
-                        break
+                for reader in ready:
+                    self._drain(reader)
                 self._check_timeouts()
                 self._check_stuck()
                 self._check_workers()
                 self._dispatch_ready()
             self._journal_sync()
+
+    def _drain(self, reader) -> None:
+        """Handle every message already waiting on ``reader``."""
+        try:
+            while reader.poll():
+                self._handle(reader.recv())
+        except (EOFError, OSError):
+            # The worker has exited, possibly mid-message; _check_workers
+            # respawns it once the process is reaped.
+            reader.close()
 
     def _handle(self, message) -> None:
         kind = message[0]
@@ -871,7 +885,8 @@ class SimulationFarm:
         now = time.perf_counter()
         for handle in self._workers:
             shard = handle.busy
-            if shard is None or not handle.process.is_alive():
+            # A killed worker can still read as alive until it is reaped.
+            if shard is None or handle.stuck_kill or not handle.process.is_alive():
                 continue
             marks = [t for t in (shard.dispatched_at, handle.last_message_at)
                      if t is not None]
@@ -895,9 +910,12 @@ class SimulationFarm:
             self.counters["workers_respawned"] += 1
             handle.task_queue.close()
             handle.task_queue.cancel_join_thread()
+            if not handle.results.closed:
+                # Keep whatever the worker reported before it died.
+                self._drain(handle.results)
+                handle.results.close()
             replacement = spawn_worker(
-                self._ctx, handle.worker_id, self._result_queue,
-                self.cache.program_cache_dir, self.preload,
+                self._ctx, handle.worker_id, self.cache.program_cache_dir, self.preload,
             )
             replacement.respawns = handle.respawns + 1
             replacement.busy_s = handle.busy_s

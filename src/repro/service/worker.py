@@ -14,8 +14,8 @@ Protocol (all messages are small picklable tuples):
   ``("shard", job_id, shard_id, [CampaignCell, ...])`` for campaign shards,
   ``("fuzz", job_id, shard_id, params)`` for one deterministic fuzz session
   (params: seed/budget/profile/with_faults/timeout_s), or ``None`` to stop.
-* worker → parent (shared result queue; index 1 is always the worker id, so
-  the dispatcher can track per-worker liveness generically):
+* worker → parent (the worker's own result pipe; index 1 is always the
+  worker id, so the dispatcher can track per-worker liveness generically):
   ``("ready", worker_id, stats)`` once warm-up/preload is done,
   ``("heartbeat", worker_id)`` at shard start and (throttled) per fuzz case
   — the stuck-worker watchdog's liveness signal,
@@ -73,17 +73,27 @@ def _parse_preload(entry) -> Tuple[str, str]:
 def worker_main(
     worker_id: int,
     task_queue,
-    result_queue,
+    results,
     program_cache_dir: Optional[str],
     preload: Sequence,
 ) -> None:
-    """Worker process entry point (module-level, so it pickles under spawn)."""
+    """Worker process entry point (module-level, so it pickles under spawn).
+
+    ``results`` is the write end of this worker's own pipe to the
+    dispatcher.  Messages are sent synchronously from this thread, so a
+    worker that dies mid-message can only tear its own pipe.  A queue
+    shared by every worker would not survive that: its feeder thread holds
+    a lock all workers share while it writes, and a worker killed then
+    leaves that lock held forever, silencing every later worker.
+    """
     from repro.devices.registry import build_runner
+
+    send = results.send
 
     if program_cache_dir:
         # Reaches every CompiledSimulator this process ever builds; the
-        # content-addressed program cache makes re-elaboration of a known
-        # topology a disk read instead of a recompile.
+        # content-addressed program cache turns levelization and codegen of
+        # a known topology into a disk read.
         os.environ[PROGRAM_CACHE_ENV] = str(program_cache_dir)
 
     runners: Dict[Tuple[str, str], object] = {}
@@ -120,7 +130,7 @@ def worker_main(
             # used, with a proper error record.
             pass
 
-    result_queue.put(("ready", worker_id, dict(stats, resident=len(runners))))
+    send(("ready", worker_id, dict(stats, resident=len(runners))))
 
     while True:
         message = task_queue.get()
@@ -128,14 +138,14 @@ def worker_main(
             break
         if message[0] == "fuzz":
             _, job_id, shard_id, params = message
-            result_queue.put(("heartbeat", worker_id))
+            send(("heartbeat", worker_id))
             _run_fuzz_session(worker_id, job_id, shard_id, params,
-                              result_queue, stats, resident=len(runners))
+                              send, stats, resident=len(runners))
             continue
         _, job_id, shard_id, cells = message
         # Shard-start heartbeat: per-cell messages cover liveness from the
         # first completion onward; this covers the first cell's runtime.
-        result_queue.put(("heartbeat", worker_id))
+        send(("heartbeat", worker_id))
         for cell in cells:
             faults = getattr(cell, "faults", None)
             runner_key = (cell.label, cell.kernel)
@@ -163,16 +173,16 @@ def worker_main(
                     runners.pop(runner_key, None)
                     applied_faults.pop(runner_key, None)
                 stats["cell_errors"] += 1
-                result_queue.put((
+                send((
                     "cell_error", worker_id, job_id, shard_id, cell.key,
                     f"{type(exc).__name__}: {exc}",
                 ))
                 continue
             stats["cells"] += 1
-            result_queue.put(("cell", worker_id, job_id, shard_id, cell.key, outcome))
+            send(("cell", worker_id, job_id, shard_id, cell.key, outcome))
         stats["shards"] += 1
-        result_queue.put(("shard_done", worker_id, job_id, shard_id,
-                          dict(stats, resident=len(runners))))
+        send(("shard_done", worker_id, job_id, shard_id,
+              dict(stats, resident=len(runners))))
 
 
 def _run_fuzz_session(
@@ -180,7 +190,7 @@ def _run_fuzz_session(
     job_id: str,
     shard_id: int,
     params: Dict[str, object],
-    result_queue,
+    send,
     stats: Dict[str, object],
     *,
     resident: int,
@@ -201,11 +211,11 @@ def _run_fuzz_session(
             now = time.perf_counter()
             if now - last_beat[0] >= FUZZ_HEARTBEAT_EVERY_S:
                 last_beat[0] = now
-                result_queue.put(("heartbeat", worker_id))
+                send(("heartbeat", worker_id))
 
         def on_finding(counterexample) -> None:
-            result_queue.put(("finding", worker_id, job_id, shard_id,
-                              counterexample.describe()))
+            send(("finding", worker_id, job_id, shard_id,
+                  counterexample.describe()))
 
         report = run_session(
             int(params["budget"]),
@@ -219,8 +229,8 @@ def _run_fuzz_session(
         )
     except Exception as exc:  # noqa: BLE001 — isolate the session, keep serving
         stats["fuzz_errors"] += 1
-        result_queue.put(("fuzz_error", worker_id, job_id, shard_id, seed,
-                          f"{type(exc).__name__}: {exc}"))
+        send(("fuzz_error", worker_id, job_id, shard_id, seed,
+              f"{type(exc).__name__}: {exc}"))
         return
     stats["sessions"] += 1
     payload = {
@@ -234,8 +244,8 @@ def _run_fuzz_session(
         "counterexamples": [ce.describe() for ce in report.counterexamples],
         "exit_code": report.exit_code,
     }
-    result_queue.put(("fuzz_done", worker_id, job_id, shard_id, payload,
-                      round(report.duration_s, 3), dict(stats, resident=resident)))
+    send(("fuzz_done", worker_id, job_id, shard_id, payload,
+          round(report.duration_s, 3), dict(stats, resident=resident)))
 
 
 @dataclass
@@ -245,6 +255,8 @@ class WorkerHandle:
     worker_id: int
     process: multiprocessing.Process
     task_queue: object
+    #: Read end of the worker's result pipe (see :func:`worker_main`).
+    results: object
     #: Shard currently dispatched to this worker, or None when idle.
     busy: Optional[object] = None
     ready: bool = False
@@ -286,19 +298,22 @@ class WorkerHandle:
 def spawn_worker(
     context,
     worker_id: int,
-    result_queue,
     program_cache_dir: Optional[str],
     preload: Sequence,
 ) -> WorkerHandle:
-    """Start one worker process with its own task queue."""
+    """Start one worker process with its own task queue and result pipe."""
     task_queue = context.Queue()
+    results, writer = context.Pipe(duplex=False)
     process = context.Process(
         target=worker_main,
-        args=(worker_id, task_queue, result_queue,
+        args=(worker_id, task_queue, writer,
               str(program_cache_dir) if program_cache_dir else None,
               tuple(preload)),
         daemon=True,
         name=f"splice-farm-worker-{worker_id}",
     )
     process.start()
-    return WorkerHandle(worker_id=worker_id, process=process, task_queue=task_queue)
+    # Only the worker keeps the write end, so its death reads as EOF.
+    writer.close()
+    return WorkerHandle(worker_id=worker_id, process=process,
+                        task_queue=task_queue, results=results)

@@ -3,10 +3,13 @@
 The cycle-exactness proof lives in ``tests/test_kernel_equivalence.py``;
 this file covers the compiler itself: static combinational-loop rejection
 (with the offending signal path, *before* any cycle runs), the declaration
-contract, levelization introspection, recompile-on-registration, stats
-parity with the event kernel, wait-state elision, and the kernel selection
-plumbing the rest of the stack uses.
+contract, levelization introspection, recompile-on-registration, first-call
+compilation of each entry point, stats parity with the event kernel,
+wait-state elision, and the kernel selection plumbing the rest of the stack
+uses.
 """
+
+import hashlib
 
 import pytest
 
@@ -15,8 +18,10 @@ from repro.rtl import (
     CompiledSimulator,
     SimulationError,
     Simulator,
+    WaitCondition,
     kernel_factory,
 )
+from repro.rtl.compile import ENTRY_POINTS
 
 
 def _chain(sim):
@@ -291,6 +296,62 @@ class TestKernelSelection:
             from repro.devices import registry
 
             registry._BUILDERS.pop("zero-arg-test", None)
+
+
+_PING_SPEC = (
+    "%device_name dev\n%bus_type plb\n%bus_width 32\n%base_address 0x80000000\n"
+    "int ping(int x);\n"
+)
+
+#: sha256 of ``design.source`` for ``build_runner("splice_plb",
+#: kernel="compiled")``, taken before the entry points were split apart.
+#: It proves the per-cycle code is unchanged; update it deliberately when
+#: the code generator changes.
+_SPLICE_PLB_SOURCE_SHA256 = "4379da294bea297f2fae3f49f9c9a8710ecb7ec19f3aed929012cf2f4a27e540"
+
+
+class TestFirstCallCompilation:
+    """A freeze compiles no entry point; each one compiles on its first call."""
+
+    def _system(self):
+        from repro.soc.system import build_system
+
+        return build_system(_PING_SPEC, behaviors={"ping": lambda x: x + 1}, kernel="compiled")
+
+    def test_each_entry_compiles_on_its_first_call(self):
+        system = self._system()
+        sim = system.simulator
+        # build_system ends with reset(), whose freeze only settles.
+        assert set(sim._entries) == {"settle_once"}
+        assert system.drivers["ping"](41) == 42
+        assert set(sim._entries) == {"settle_once", "wait_eq"}
+        sim.step(1)
+        assert set(sim._entries) == {"settle_once", "wait_eq", "step"}
+        assert sim.wait_until(WaitCondition(sim.signals[0], 0, op=">=")) == 0
+        assert set(sim._entries) == set(ENTRY_POINTS)
+
+    def test_registration_drops_every_entry_and_recompiles_with_it(self):
+        system = self._system()
+        sim = system.simulator
+        system.drivers["ping"](1)
+        sim.step(1)
+        seen = []
+        sim.add_monitor(lambda: seen.append(sim.cycle))
+        assert sim._entries == {}
+        assert system.drivers["ping"](2) == 3
+        assert set(sim._entries) == {"wait_eq"}
+        assert seen, "the monitor registered after the freeze never ran"
+
+    def test_explicit_compile_compiles_every_entry(self):
+        sim = self._system().simulator
+        sim.compile()
+        assert set(sim._entries) == set(ENTRY_POINTS)
+
+    def test_splice_plb_source_is_unchanged(self):
+        from repro.devices.registry import build_runner
+
+        source = build_runner("splice_plb", kernel="compiled").system.simulator.design.source
+        assert hashlib.sha256(source.encode()).hexdigest() == _SPLICE_PLB_SOURCE_SHA256
 
 
 class TestProgramCache:

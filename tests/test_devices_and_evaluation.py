@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.syntax.errors import SpliceGenerationError
 from repro.devices.baselines import (
     build_naive_plb_system,
     build_optimized_fcb_system,
@@ -24,6 +25,7 @@ from repro.evaluation.experiments import (
 from repro.evaluation.report import cycles_report, format_table, ratio_report, resources_report, scenario_report
 from repro.evaluation.scenarios import SCENARIOS, scenario, scenario_table
 from repro.resources.estimator import estimate_entities, estimate_entity
+from repro.rtl import CompiledSimulator
 
 
 class TestTimerDevice:
@@ -116,6 +118,19 @@ class TestInterpolator:
                 for n in (1, 2, 3, 4)
             ]
             assert cycles == sorted(cycles), f"{bus}: {cycles}"
+
+    @pytest.mark.parametrize("kind", ["splice_plb", "splice_fcb", "splice_plb_dma"])
+    def test_count_beyond_its_char_parameter_is_rejected(self, kind):
+        """``char n1`` holds at most 255: a 256-element set must be refused
+        before the bus moves, not sent with a count that wraps to 0."""
+        device = build_splice_interpolator(kind, simulator_factory=CompiledSimulator)
+        simulator = device.system.simulator
+        start = simulator.cycle
+        with pytest.raises(SpliceGenerationError, match=r"'n1' \(char\) holds at most 255, got 256"):
+            device.run_scenario((list(range(256)), [1], [2]))
+        assert simulator.cycle == start
+        sets = (list(range(255)), [1], [2])
+        assert device.run_scenario(sets)["result"] == interpolate_fixed_point(*sets)
 
     def test_baselines_agree_with_reference(self):
         sets = scenario(1).generate_inputs()

@@ -65,14 +65,19 @@ def _case(**overrides):
 # -- seeded kernel mutations (the bugs the fuzzer must convict) --------------
 
 
+def _mutate(sources, old, new):
+    """Apply a one-token mutation to every generated entry point."""
+    assert any(old in text for text in sources.values())
+    return {name: text.replace(old, new) for name, text in sources.items()}
+
+
 class OvershootCompiled(CompiledSimulator):
     """Cycle-leap overshoot: wakes one cycle late from every leap."""
 
     def _codegen(self, *args, **kwargs):
-        source = super()._codegen(*args, **kwargs)
-        assert "_skip = s._next_timed - cyc" in source
-        return source.replace(
-            "_skip = s._next_timed - cyc", "_skip = s._next_timed - cyc + 1"
+        return _mutate(
+            super()._codegen(*args, **kwargs),
+            "_skip = s._next_timed - cyc", "_skip = s._next_timed - cyc + 1",
         )
 
 
@@ -80,9 +85,7 @@ class StuckLeapCompiled(CompiledSimulator):
     """Leaps advance the clock but not the step budget: the run never ends."""
 
     def _codegen(self, *args, **kwargs):
-        source = super()._codegen(*args, **kwargs)
-        assert "_done += _skip" in source
-        return source.replace("_done += _skip", "_done += 0")
+        return _mutate(super()._codegen(*args, **kwargs), "_done += _skip", "_done += 0")
 
 
 def _overshoot_factories(case):
