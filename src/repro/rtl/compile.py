@@ -85,7 +85,8 @@ The testbench side of a simulation lives inside the same generated loop:
   a digest of the design topology and this compiler's own fingerprint, so
   identical designs skip levelization and codegen across processes.  A hit
   does not skip Python's ``compile()`` of the generated text, which is most
-  of a freeze's cost; first-call compilation (below) is what bounds that.
+  of a freeze's cost; first-call compilation and the in-process code memo
+  (below) are what bound that.
 
 First-call compilation
 ----------------------
@@ -99,6 +100,24 @@ executed on its first call through ``step``, ``wait_until`` or ``settle``;
 it then stays until the next registration.  :meth:`CompiledSimulator.compile`
 compiles all four, which surfaces any codegen error at once and gives a
 benchmark an untimed warm-up.
+
+Reuse within a process
+----------------------
+
+Lowering and compiling are pure functions of their inputs, so both are
+memoized for the life of the process, each behind a constant bound:
+
+* the lowered text of each FSM-IR machine is kept on its spec, keyed by
+  prefix, constant values, group sizes and signal masks
+  (:meth:`repro.rtl.fsm.BoundFsm._lowered_body`); the second freeze of a
+  system, and every later system of the same shape, skips lowering;
+* the code object of each entry comes from a thread-safe LRU memo of
+  :data:`ENTRY_CODE_MEMO_SIZE` entries keyed by the SHA-256 of the entry
+  source, and is executed into the simulator's own namespace, so each
+  system still binds its own ``SIM`` and signals.
+
+Neither changes a generated byte.  Across processes only the on-disk
+program cache is shared.
 
 ``tests/test_kernel_equivalence.py`` proves the whole construction
 cycle-exact (full signal traces, every cycle, plus identical monitor
@@ -117,6 +136,7 @@ from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.rtl.memo import LruMemo
 from repro.rtl.signal import Signal
 from repro.rtl.simulator import Process, SimulationError, Simulator, WaitCondition
 
@@ -194,6 +214,18 @@ class CompiledProgramCache:
         os.replace(tmp, path)
         return path
 
+
+#: Compiled entry points kept per process.  Entry sources repeat within a
+#: process: the designs a fuzz session or a warm worker builds share
+#: topologies, and a freeze after a registration re-emits entries whose
+#: text did not change.  A code object is immutable and holds no reference
+#: to a simulator (``SIM`` and every binding are globals of the namespace it
+#: is executed in), so one compilation serves every simulator whose entry
+#: has the same text.  Keys are SHA-256 digests, so the memo does not keep
+#: the source alive.
+ENTRY_CODE_MEMO_SIZE = 64
+
+_ENTRY_CODE = LruMemo(ENTRY_CODE_MEMO_SIZE)
 
 #: Sentinel for "no timed wake pending" (compares greater than any cycle).
 _NEVER = 1 << 62
@@ -496,12 +528,22 @@ class CompiledSimulator(Simulator):
             self._build()
 
     def _entry(self, name: str) -> Callable:
-        """The entry point ``name``, freezing and compiling it on first use."""
+        """The entry point ``name``, freezing and compiling it on first use.
+
+        The code object comes from the process-wide entry-code memo; it is
+        executed into this simulator's own namespace, so the function binds
+        this simulator and its signals.
+        """
         fn = self._entries.get(name)
         if fn is None:
             self._ensure_compiled()
             namespace = self._namespace
-            exec(compile(self._sources[name], "<compiled-kernel>", "exec"), namespace)
+            source = self._sources[name]
+            code = _ENTRY_CODE.get(
+                hashlib.sha256(source.encode()).digest(),
+                lambda: compile(source, "<compiled-kernel>", "exec"),
+            )
+            exec(code, namespace)
             fn = self._entries[name] = namespace[name]
         return fn
 

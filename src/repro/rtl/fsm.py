@@ -73,7 +73,10 @@ two bound machines combinationally driving the same signal.
 Every spec has a content :meth:`~FsmSpec.fingerprint`; the compiled kernel
 folds the emitted machine source into its design digest (so program-cache
 entries are IR-exact) and the campaign result cache folds
-:func:`fsm_ir_fingerprint` into every cell digest.
+:func:`fsm_ir_fingerprint` into every cell digest.  Lowering is a pure
+function of the spec and a small key, so each spec memoizes its lowered
+text (:meth:`BoundFsm._lowered_body`): a process lowers a machine once,
+not once per elaboration freeze.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.rtl.memo import LruMemo
 from repro.rtl.signal import Signal, schedule_zero
 
 
@@ -257,6 +261,12 @@ class Sleep(Op):
 # ---------------------------------------------------------------------------
 
 
+#: Lowered bodies kept per spec.  A spec lowers differently per prefix (its
+#: process index in the design) and per bound constants, so a few entries
+#: cover the designs one process keeps rebuilding.
+LOWERED_MEMO_SIZE = 8
+
+
 @dataclass
 class FsmSpec:
     """One machine, described as data.
@@ -292,6 +302,8 @@ class FsmSpec:
         self.states = {name: _ops(body) for name, body in self.states.items()}
         self.external_states = tuple(self.external_states)
         self.validate()
+        #: Lowered bodies by key (see :meth:`BoundFsm._lowered_body`).
+        self._lowered = LruMemo(LOWERED_MEMO_SIZE)
 
     # -- static diagnostics -------------------------------------------------
 
@@ -428,12 +440,23 @@ class FsmSpec:
         ]
         for name, body in self.states.items():
             lines.append(f"state {name}:" + ",".join(dump(op) for op in body))
-        lines.append(f"consts:{','.join(self.consts)}")
+        # The lexicon: lowering renames each name by its category, so the
+        # same ops over names declared in different categories emit
+        # different code.
+        for category in ("signals", "groups", "helpers", "consts", "temps"):
+            lines.append(f"{category}:{','.join(getattr(self, category))}")
         return "\n".join(lines)
 
     def fingerprint(self) -> str:
-        """Content digest of the IR (states, transitions, ops, lexicon)."""
-        return hashlib.sha256(self._canonical().encode()).hexdigest()
+        """Content digest of the IR (states, transitions, ops, lexicon).
+
+        Computed once per spec: specs are not modified after construction.
+        """
+        digest = getattr(self, "_fingerprint", None)
+        if digest is None:
+            digest = hashlib.sha256(self._canonical().encode()).hexdigest()
+            self._fingerprint = digest
+        return digest
 
 
 #: Bumped whenever the IR schema or execution semantics change; folded into
@@ -1049,6 +1072,51 @@ class BoundFsm:
             mapping[name] = f"{p}_t_{name}"
         return mapping
 
+    def _emit_lowered_body(self, p: str) -> List[str]:
+        """Emit the lowered per-cycle lines of this machine under prefix ``p``."""
+        if self.spec.kind == "clocked":
+            rename = self._renamer(self._rename_map(p))
+            body: List[str] = [f"{p}_act = False"]
+        else:
+            # The comb body references namespace globals directly and
+            # never reads CYCLE, groups or helpers.
+            mapping = {"m": f"{p}_m"}
+            for name in self._signals:
+                mapping[name] = f"{p}_{name}"
+            for name, value in self._consts.items():
+                mapping[name] = repr(value)
+            for name in self.spec.temps:
+                mapping[name] = f"{p}_t_{name}"
+            rename = self._renamer(mapping)
+            body = []
+        self._emit_ops(self.spec.entry, "", rename, body, p)
+        return body
+
+    def _lowered_key(self, p: str) -> tuple:
+        """Everything the lowered text depends on besides the spec: the
+        prefix, the constant values (inlined as literals), the group sizes
+        (``ScheduleZero`` unrolls per member) and the signal masks (folded
+        into literal values)."""
+        spec = self.spec
+        return (
+            p,
+            tuple(self._consts[name] for name in spec.consts),
+            tuple(len(self._groups[name]) for name in spec.groups),
+            tuple(self._signals[name]._mask for name in spec.signals),
+        )
+
+    def _lowered_body(self, p: str) -> List[str]:
+        """The lowered per-cycle lines, served from the spec's memo.
+
+        The text is a pure function of the spec and :meth:`_lowered_key`,
+        so every instance of a spec with the same key, in any design this
+        process builds, shares one emission.
+        """
+        body = self.spec._lowered.get(
+            self._lowered_key(p), lambda: tuple(self._emit_lowered_body(p))
+        )
+        return list(body)
+
     def emit_compiled_clocked(self, prefix: str) -> dict:
         """Lowering hook for :class:`repro.rtl.compile.CompiledSimulator`.
 
@@ -1062,7 +1130,6 @@ class BoundFsm:
         if self.spec.kind != "clocked":
             raise FsmError(f"FSM {self.spec.name!r} is not a clocked machine")
         p = prefix
-        rename = self._renamer(self._rename_map(p))
         namespace: Dict[str, object] = {
             f"{p}_M": self.owner,
             f"{p}_SN": self._state_names,
@@ -1084,12 +1151,10 @@ class BoundFsm:
             namespace[f"{p}_HLP_{name}"] = helper
             entry.append(f"{p}_h_{name} = {p}_HLP_{name}")
         entry.append(f"{p}_st = {p}_SI[{p}_m.{self.spec.state_attr}]")
-        body: List[str] = [f"{p}_act = False"]
-        self._emit_ops(self.spec.entry, "", rename, body, p)
         exit_ = [f"{p}_M.{self.spec.state_attr} = {p}_SN[{p}_st]"]
         return {
             "entry": entry,
-            "body": body,
+            "body": self._lowered_body(p),
             "exit": exit_,
             "namespace": namespace,
             "act": f"{p}_act",
@@ -1107,20 +1172,11 @@ class BoundFsm:
         if self.spec.kind != "comb":
             raise FsmError(f"FSM {self.spec.name!r} is not a comb machine")
         p = prefix
-        mapping = {"m": f"{p}_m"}
         namespace: Dict[str, object] = {f"{p}_m": self.owner}
         for name, sig in self._signals.items():
-            mapping[name] = f"{p}_{name}"
             namespace[f"{p}_{name}"] = sig
-        for name, value in self._consts.items():
-            mapping[name] = repr(value)
-        for name in self.spec.temps:
-            mapping[name] = f"{p}_t_{name}"
-        rename = self._renamer(mapping)
-        body: List[str] = []
-        self._emit_ops(self.spec.entry, "", rename, body, p)
         return {
-            "body": body,
+            "body": self._lowered_body(p),
             "namespace": namespace,
             "label": self.profile_label,
             "fingerprint": self.spec.fingerprint(),

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import queue
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -57,6 +58,11 @@ from repro.rtl.compile import PROGRAM_CACHE_ENV
 #: implicitly through per-cell messages; fuzz sessions run many cases per
 #: second, so their liveness signal is throttled to one message per second).
 FUZZ_HEARTBEAT_EVERY_S = 1.0
+
+#: Seconds an idle worker waits for a task before checking that the farm's
+#: process is still alive.  A SIGKILLed server cannot send the stop
+#: message, and its workers must not idle on forever.
+PARENT_CHECK_EVERY_S = 1.0
 
 
 def _parse_preload(entry) -> Tuple[str, str]:
@@ -85,6 +91,10 @@ def worker_main(
     shared by every worker would not survive that: its feeder thread holds
     a lock all workers share while it writes, and a worker killed then
     leaves that lock held forever, silencing every later worker.
+
+    The worker returns on the ``None`` stop message, or, while idle, once
+    its parent process has died: a server killed with SIGKILL never sends
+    the stop message.
     """
     from repro.devices.registry import build_runner
 
@@ -132,8 +142,14 @@ def worker_main(
 
     send(("ready", worker_id, dict(stats, resident=len(runners))))
 
+    parent = multiprocessing.parent_process()
     while True:
-        message = task_queue.get()
+        try:
+            message = task_queue.get(timeout=PARENT_CHECK_EVERY_S)
+        except queue.Empty:
+            if parent is not None and not parent.is_alive():
+                break
+            continue
         if message is None:
             break
         if message[0] == "fuzz":

@@ -4,12 +4,14 @@ The cycle-exactness proof lives in ``tests/test_kernel_equivalence.py``;
 this file covers the compiler itself: static combinational-loop rejection
 (with the offending signal path, *before* any cycle runs), the declaration
 contract, levelization introspection, recompile-on-registration, first-call
-compilation of each entry point, stats parity with the event kernel,
-wait-state elision, and the kernel selection plumbing the rest of the stack
-uses.
+compilation of each entry point, process-wide reuse of each entry's code,
+stats parity with the event kernel, wait-state elision, and the kernel
+selection plumbing the rest of the stack uses.
 """
 
 import hashlib
+import sys
+import threading
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.rtl import (
     CompiledSimulator,
     SimulationError,
     Simulator,
+    TraceRecorder,
     WaitCondition,
     kernel_factory,
 )
@@ -352,6 +355,84 @@ class TestFirstCallCompilation:
 
         source = build_runner("splice_plb", kernel="compiled").system.simulator.design.source
         assert hashlib.sha256(source.encode()).hexdigest() == _SPLICE_PLB_SOURCE_SHA256
+
+
+class TestEntryCodeReuse:
+    """Each entry source is compiled once per process, then shared."""
+
+    def test_two_builds_share_entry_code_but_not_simulators(self):
+        from repro.soc.system import build_system
+
+        sims, runs = [], []
+        for _ in range(2):
+            system = build_system(
+                _PING_SPEC, behaviors={"ping": lambda x: x + 1}, kernel="compiled"
+            )
+            sim = system.simulator
+            recorder = TraceRecorder(sim, sim.signals)
+            results = [system.drivers["ping"](x) for x in (1, 41, 0xFFFF)]
+            sim.step(3)
+            sim.compile()
+            sims.append(sim)
+            runs.append((results, sim.cycle, sim.stats, recorder.trace.samples))
+        first, second = sims
+        for name in ENTRY_POINTS:
+            a, b = first._entries[name], second._entries[name]
+            assert a is not b
+            assert a.__code__ is b.__code__, f"{name} was compiled twice"
+            assert a.__globals__["SIM"] is first
+            assert b.__globals__["SIM"] is second
+        assert runs[0] == runs[1]
+
+    def test_memo_stays_at_its_bound(self):
+        from repro.rtl.compile import _ENTRY_CODE, ENTRY_CODE_MEMO_SIZE
+
+        # Chains of different lengths emit different sweeps, so every
+        # design adds one new source per entry point.
+        designs = ENTRY_CODE_MEMO_SIZE // len(ENTRY_POINTS) + 2
+        for length in range(1, designs + 1):
+            sim = CompiledSimulator()
+            chain = [sim.signal(f"s{i}", width=8) for i in range(length + 1)]
+            for src, dst in zip(chain, chain[1:]):
+                sim.add_comb(
+                    lambda src=src, dst=dst: dst.drive(src.value),
+                    sensitive_to=[src], drives=[dst],
+                )
+            sim.compile()
+        assert len(_ENTRY_CODE) == ENTRY_CODE_MEMO_SIZE
+
+    def test_concurrent_lookups_serve_each_key_its_own_value(self):
+        from repro.rtl.memo import LruMemo
+
+        memo = LruMemo(8)
+        sources = [f"def f():\n    return {i}\n" for i in range(3 * memo.size)]
+        errors = []
+
+        def look_up(offset):
+            try:
+                for k in range(2000):
+                    index = (offset * 7 + k) % len(sources)
+                    source = sources[index]
+                    namespace = {}
+                    exec(memo.get(source, lambda: compile(source, "<t>", "exec")), namespace)
+                    if namespace["f"]() != index:
+                        errors.append(f"key {index} got another key's value")
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(repr(exc))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=look_up, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(memo) == memo.size
 
 
 class TestProgramCache:

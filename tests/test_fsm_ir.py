@@ -8,6 +8,7 @@ randomized tests here prove all three produce identical signal traces and
 identical machine state on machines the generator dreams up; the
 full-system tests prove the IR ports of the in-tree machines cycle-exact
 against the retained hand-written Python ticks (``fsm_backend="python"``).
+The lowering memo is checked against fresh emission on the paper grid.
 """
 
 import pytest
@@ -26,6 +27,7 @@ from repro.rtl import (
     use_backend,
 )
 from repro.rtl.fsm import (
+    LOWERED_MEMO_SIZE,
     Active,
     Drive,
     Exec,
@@ -236,6 +238,113 @@ class TestRandomizedEquivalence:
         profile = sim.process_profile()
         assert profile[0]["kind"] == "lowered"
         assert profile[0]["label"].endswith("rand1")
+
+
+class TestFingerprint:
+    def test_lexicon_category_changes_the_fingerprint(self):
+        # Lowering renames a name by its category (f0_x, f0_g_x, f0_h_x,
+        # f0_t_x), so the same ops over differently declared names emit
+        # different code and must not share a fingerprint.
+        ops = dict(
+            name="t", entry=(StateDispatch(),), states={"a": (Exec("x"), Goto("a"))}
+        )
+        specs = [
+            FsmSpec(**ops, **{category: ("x",)})
+            for category in ("signals", "groups", "helpers", "temps")
+        ]
+        assert len({spec.fingerprint() for spec in specs}) == len(specs)
+        assert FsmSpec(**ops, helpers=("x",)).fingerprint() == specs[2].fingerprint()
+
+    def test_fingerprint_is_computed_once(self):
+        spec = _clocked_spec()
+        first = spec.fingerprint()
+        spec._canonical = lambda: pytest.fail("fingerprint recomputed")
+        assert spec.fingerprint() == first
+
+
+def _built_simulator(build):
+    built = build(CompiledSimulator)
+    system = getattr(built, "system", None)
+    return getattr(built, "simulator", None) or system.simulator
+
+
+def _lowered_machines(sim):
+    """(prefix, machine) for every FSM the compiled kernel lowers."""
+    machines = []
+    for cid, (proc, sense) in enumerate(sim._clocked_decls):
+        owner = getattr(proc, "__self__", None)
+        if isinstance(owner, BoundFsm) and sense is not None and proc is owner.tick:
+            machines.append((f"f{cid}", owner))
+    for pid, (proc, _, _) in enumerate(sim._comb_decls):
+        owner = getattr(proc, "__self__", None)
+        if isinstance(owner, BoundFsm) and proc is owner.tick:
+            machines.append((f"g{pid}", owner))
+    return machines
+
+
+_PAPER_GRID = [
+    pytest.param(
+        lambda factory, bus=bus: build_splice_interpolator(
+            f"splice_{bus}", simulator_factory=factory
+        ),
+        id=f"splice_{bus}",
+    )
+    for bus in ("plb", "fcb", "opb", "apb")
+] + [
+    pytest.param(lambda factory: build_naive_plb_system(simulator_factory=factory),
+                 id="naive_plb"),
+    pytest.param(lambda factory: build_optimized_fcb_system(simulator_factory=factory),
+                 id="optimized_fcb"),
+]
+
+
+class TestLoweringMemo:
+    """Each machine is lowered once per process, then served from its spec."""
+
+    @pytest.mark.parametrize("build", _PAPER_GRID)
+    def test_memo_served_body_matches_a_fresh_emission(self, build):
+        sim = _built_simulator(build)
+        design = sim.compile()
+        machines = _lowered_machines(sim)
+        assert machines
+        assert len(machines) == design.fused_clocked + design.fused_comb
+        for prefix, machine in machines:
+            served = machine.spec._lowered.get(
+                machine._lowered_key(prefix),
+                lambda: pytest.fail(f"{machine.profile_label} ({prefix}) not memoized"),
+            )
+            assert list(served) == machine._emit_lowered_body(prefix), (
+                f"{machine.profile_label} ({prefix}): memo differs from a fresh emission"
+            )
+
+    def test_rebuilt_design_reuses_every_lowered_body(self, monkeypatch):
+        build = _PAPER_GRID[0].values[0]
+        source = _built_simulator(build).compile().source
+
+        def fail(self, prefix):
+            pytest.fail(f"{self.profile_label} ({prefix}) was lowered again")
+
+        monkeypatch.setattr(BoundFsm, "_emit_lowered_body", fail)
+        assert _built_simulator(build).compile().source == source
+
+    def test_memo_stays_at_its_bound(self):
+        # One machine whose lowered text varies with its constant.
+        spec = FsmSpec(
+            name="bounded",
+            entry=(StateDispatch(),),
+            states={"a": (Schedule("out", "k"), Goto("a"))},
+            signals=("out",),
+            consts=("k",),
+        )
+        for value in range(LOWERED_MEMO_SIZE + 3):
+            owner = Module(f"m{value}")
+            out = owner.signal("OUT", width=8)
+            machine = BoundFsm(spec, owner, signals={"out": out}, consts={"k": value})
+            owner.clocked(machine.tick, sensitive_to=[out])
+            sim = CompiledSimulator()
+            sim.register_module(owner)
+            assert sim.compile().fused_clocked == 1
+        assert len(spec._lowered) == LOWERED_MEMO_SIZE
 
 
 def _run_scenario_trace(build, kernel_factory):

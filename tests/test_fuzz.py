@@ -214,6 +214,14 @@ class TestOracle:
         assert verdict.kind == "divergence"
         assert verdict.kernel == "compiled"
 
+    def test_mutant_built_after_a_clean_run_gets_its_own_code(self):
+        # Entry code is reused across simulators of one process by source
+        # text: a clean run of the same case first must not hand the
+        # mutant the clean code.
+        assert run_case(_case()).ok
+        verdict = run_case(_case(), kernel_factories=_overshoot_factories(_case()))
+        assert verdict.kind == "divergence"
+
     def test_crash_is_contained(self):
         verdict = run_case(
             _case(),

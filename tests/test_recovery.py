@@ -397,7 +397,48 @@ def _stop_serve(proc):
     proc.wait(timeout=30)
 
 
+def _pid_running(pid):
+    """Whether ``pid`` is a live process (a zombie awaiting reaping is not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True  # no procfs: a signalable pid counts as running
+    # The state letter follows the parenthesised command name.
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 class TestServeKillRecovery:
+    def test_worker_exits_when_its_server_is_killed(self, tmp_path):
+        """A SIGKILLed server never sends its workers the stop message;
+        an idle worker must notice its dead parent and exit on its own."""
+        proc, client = _start_serve(tmp_path / "state")
+        worker_pid = None
+        try:
+            deadline = time.monotonic() + 60
+            while worker_pid is None and time.monotonic() < deadline:
+                workers = client.stats()["workers"]
+                worker_pid = workers[0].get("pid") if workers else None
+                if worker_pid is None:
+                    time.sleep(0.05)
+            assert worker_pid is not None, "the worker never reported ready"
+            os.kill(proc.pid, signal.SIGKILL)
+        finally:
+            _stop_serve(proc)
+        try:
+            deadline = time.monotonic() + 10
+            while _pid_running(worker_pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _pid_running(worker_pid), (
+                f"farm worker {worker_pid} outlived its SIGKILLed server"
+            )
+        finally:
+            if _pid_running(worker_pid):
+                os.kill(worker_pid, signal.SIGKILL)
+
     def test_sigkill_mid_campaign_recovers_bit_identical(self, tmp_path):
         """The acceptance criterion, end to end: SIGKILL the server after
         the first cell completes, restart on the same --state-dir, and the
