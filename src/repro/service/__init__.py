@@ -16,6 +16,11 @@ API in front of it:
 * :class:`~repro.service.client.ServiceClient` — the matching stdlib
   client, used by ``splice submit``.
 
+The farm stays bounded however long it runs: finished jobs keep their full
+record only while they are among the newest few hundred, then shrink to a
+compact :class:`~repro.service.jobs.RetiredJob` (status, result and
+idempotency key, about 1 KB), and the oldest compact records are forgotten.
+
 Results served through the API are bit-identical to ``splice campaign run``
 on the same spec: jobs expand the identical cell grid, cells execute through
 the same registry-built runners, and aggregation shares the batch runner's
@@ -55,6 +60,8 @@ from repro.service.jobs import (
     FuzzJobSpec,
     Job,
     JobQueue,
+    ResultUnavailable,
+    RetiredJob,
     Shard,
 )
 from repro.service.journal import (
@@ -78,6 +85,8 @@ __all__ = [
     "ServiceError",
     "Job",
     "JobQueue",
+    "RetiredJob",
+    "ResultUnavailable",
     "Shard",
     "FuzzJobSpec",
     "CAMPAIGN",

@@ -14,19 +14,23 @@ Pure stdlib (``http.server``), no new dependencies.  Endpoints:
   second one — the key is journaled on durable farms, so the dedupe
   survives server restarts.  When the farm is saturated (bounded queue
   depth reached) the response is 503 with a ``Retry-After`` header.
-* ``GET /jobs`` — snapshots of every job the farm has seen.
-* ``GET /jobs/<id>`` — one job's snapshot.
+* ``GET /jobs`` — snapshots of the resident jobs: the active ones plus the
+  farm's window of recently finished full records.
+* ``GET /jobs/<id>`` — one job's snapshot.  A compact (long-finished) job
+  answers with its final snapshot; an id the farm has forgotten answers
+  404 "expired".
 * ``GET /jobs/<id>/events[?from=N]`` — NDJSON stream of the job's event log
   (submission, state changes, per-cell completions); the response stays
   open, emitting one JSON object per line, until the job reaches a terminal
-  state.
+  state.  A compact job's log is gone: 410 with ``"evicted": true``.
 * ``GET /jobs/<id>/result`` — the aggregated result as JSON.  Campaign
   jobs serve the :class:`~repro.campaign.result.CampaignResult` payload,
   bit-identical in its ``cells`` to ``splice campaign run`` on the same
-  spec; fuzz jobs serve the deterministic fuzz aggregate (sessions in seed
-  order, coverage union, deduplicated counterexamples).  409 while the job
-  is still queued/running, 410 for cancelled/timed-out jobs, which never
-  have a complete result.
+  spec (a compact job re-reads its cells from the result cache, 410 if an
+  entry is gone); fuzz jobs serve the deterministic fuzz aggregate
+  (sessions in seed order, coverage union, deduplicated counterexamples).
+  409 while the job is still queued/running, 410 for cancelled/timed-out
+  jobs, which never have a complete result.
 * ``DELETE /jobs/<id>`` — cancel (queued: drops instantly; running: stops
   at the next shard boundary).
 * ``GET /stats`` — queue depth, per-worker stats, utilization, cache hit
@@ -34,8 +38,10 @@ Pure stdlib (``http.server``), no new dependencies.  Endpoints:
 * ``GET /healthz`` — liveness probe.
 
 The server is a :class:`ThreadingHTTPServer`: each request handler runs on
-its own thread and talks to the farm under the farm's lock, so many clients
-can stream different jobs' events concurrently.
+its own thread and reads the farm under the farm's lock, so many clients
+can stream different jobs' events concurrently.  Handlers copy what they
+need under the lock and serialize and send after releasing it, so a slow
+reader never stalls the dispatcher or another handler.
 """
 
 from __future__ import annotations
@@ -48,7 +54,14 @@ from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.service.farm import FarmSaturated, SimulationFarm
-from repro.service.jobs import CANCELLED, DONE, FAILED, TIMEOUT
+from repro.service.jobs import (
+    CANCELLED,
+    DONE,
+    FAILED,
+    TIMEOUT,
+    ResultUnavailable,
+    RetiredJob,
+)
 
 _JOB_PATH = re.compile(r"^/jobs/([A-Za-z0-9_.-]+)(/events|/result)?$")
 
@@ -101,6 +114,17 @@ class FarmRequestHandler(BaseHTTPRequestHandler):
             return None
         return match.group(1), (match.group(2) or "").lstrip("/") or None
 
+    def _job_or_404(self, job_id: str):
+        """The job's full or compact record, or None after answering 404."""
+        job = self.farm.get(job_id)
+        if job is None:
+            if self.farm.expired(job_id):
+                self._error(404, f"job {job_id} expired: the farm no longer "
+                                 "keeps a record of it")
+            else:
+                self._error(404, f"no such job: {job_id}")
+        return job
+
     # -- methods -----------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming
@@ -121,13 +145,13 @@ class FarmRequestHandler(BaseHTTPRequestHandler):
             self._error(404, f"no such endpoint: {parsed.path}")
             return
         job_id, sub = routed
-        job = self.farm.get(job_id)
+        job = self._job_or_404(job_id)
         if job is None:
-            self._error(404, f"no such job: {job_id}")
             return
         if sub is None:
             with self.farm.lock:
-                self._send_json(200, job.snapshot())
+                snapshot = job.snapshot()
+            self._send_json(200, snapshot)
             return
         if sub == "result":
             with self.farm.lock:
@@ -138,11 +162,24 @@ class FarmRequestHandler(BaseHTTPRequestHandler):
             if state not in (DONE, FAILED):
                 self._error(409, f"job {job_id} is still {state}")
                 return
-            with self.farm.lock:
+            # A done or failed job's outcomes never change again, so the
+            # aggregation (a cache read for a compact job) needs no lock.
+            try:
                 payload = job.result_payload()
+            except ResultUnavailable as exc:
+                self._error(410, str(exc))
+                return
             self._send_json(200, payload)
             return
         if sub == "events":
+            if isinstance(job, RetiredJob):
+                self._send_json(410, {
+                    "error": f"job {job_id} finished long ago and its event "
+                             f"log is gone; GET /jobs/{job_id} has its final state",
+                    "state": job.state,
+                    "evicted": True,
+                })
+                return
             query = parse_qs(parsed.query)
             try:
                 start = int(query.get("from", ["0"])[0])
@@ -224,9 +261,8 @@ class FarmRequestHandler(BaseHTTPRequestHandler):
             self._error(404, f"no such endpoint: {self.path}")
             return
         job_id = routed[0]
-        job = self.farm.get(job_id)
+        job = self._job_or_404(job_id)
         if job is None:
-            self._error(404, f"no such job: {job_id}")
             return
         cancelled = self.farm.cancel(job_id)
         with self.farm.lock:

@@ -211,7 +211,10 @@ class ServiceClient:
         the last seen event index (the server's ``?from=N``), so the
         consumer sees every event exactly once even across server restarts
         or mid-stream resets; :attr:`STREAM_RESUMES` consecutive reconnect
-        failures abort the stream with the underlying error.
+        failures abort the stream with the underlying error.  A job that
+        finished so long ago that the server kept only its compact record
+        (410, ``"evicted": true``) ends the stream at once; :meth:`status`
+        still has its final state.
         """
         index = start
         failures = 0
@@ -221,7 +224,10 @@ class ServiceClient:
                 connection.request("GET", f"/jobs/{job_id}/events?from={index}")
                 response = connection.getresponse()
                 if response.status >= 400:
-                    raise ServiceError(response.status, json.loads(response.read() or b"{}"))
+                    payload = json.loads(response.read() or b"{}")
+                    if response.status == 410 and payload.get("evicted"):
+                        return  # long finished; the server dropped its log
+                    raise ServiceError(response.status, payload)
                 for line in response:
                     line = line.strip()
                     if line:

@@ -36,16 +36,25 @@ Everything observable — job state, per-cell progress, worker stats — is
 mutated under one condition lock and published through job event logs, so
 any number of watchers (HTTP streamers, ``Job.wait``) follow along without
 polling the workers.
+
+A long-lived farm stays bounded.  Per-request work touches only the index
+of active jobs, never every job served.  A finished job keeps its full
+record while it is among the newest :data:`FULL_WINDOW_JOBS`; after that
+it shrinks to a compact :class:`~repro.service.jobs.RetiredJob` that still
+answers status, result and idempotent resubmission, and compact records
+beyond the newest :data:`COMPACT_WINDOW_JOBS` are forgotten.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import re
 import shutil
 import tempfile
 import threading
 import time
+from collections import deque
 from multiprocessing import connection
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
@@ -65,6 +74,7 @@ from repro.service.jobs import (
     FuzzJobSpec,
     Job,
     JobQueue,
+    RetiredJob,
     Shard,
 )
 from repro.service.journal import (
@@ -90,6 +100,19 @@ DEFAULT_STUCK_TIMEOUT_S = 300.0
 
 #: Retry-After seconds suggested to clients bounced by backpressure.
 DEFAULT_RETRY_AFTER_S = 1.0
+
+#: Finished jobs that keep their full record (cells, outcomes, event log).
+#: Clients open a job's event stream right after its submit response, so
+#: this only has to cover the jobs that finish in between — far more than
+#: any realistic number of concurrent clients.
+FULL_WINDOW_JOBS = 256
+
+#: Compact records kept beyond the full window.  Status, result and
+#: idempotency keys stay valid for this many later jobs; after that the id
+#: answers 404 "expired" and its key is forgotten, as after a restart.
+COMPACT_WINDOW_JOBS = 65_536
+
+_JOB_ID = re.compile(r"^j(\d+)$")
 
 
 class FarmSaturated(RuntimeError):
@@ -173,7 +196,19 @@ class SimulationFarm:
         self.cache = cache
 
         self._cond = threading.Condition()
+        #: Full records: active jobs, finished jobs with a late shard still
+        #: in flight, and the full window.
         self._jobs: Dict[str, Job] = {}
+        #: The active index: jobs not yet terminal.
+        self._active: Dict[str, Job] = {}
+        #: Ids of the finished full records, oldest first.
+        self._window: deque = deque()
+        #: Compact records, and their ids oldest first.
+        self._retired: Dict[str, RetiredJob] = {}
+        self._retired_order: deque = deque()
+        #: Lifetime job counts: finished jobs by state, all jobs by kind.
+        self._finished_counts = {DONE: 0, FAILED: 0, CANCELLED: 0, TIMEOUT: 0}
+        self._kind_counts = {CAMPAIGN: 0, FUZZ: 0}
         self._queue = JobQueue()
         self._workers: List[WorkerHandle] = []
         self._idempotency: Dict[str, str] = {}
@@ -245,10 +280,8 @@ class SimulationFarm:
             # forced cancellations are deliberately NOT journaled: on a
             # durable farm, "stopped while jobs were pending" is exactly the
             # state a restart on the same --state-dir must resume from.
-            for job in self._jobs.values():
-                if not job.is_terminal:
-                    job.pending_shards.clear()
-                    job.enter_state(CANCELLED, reason="farm stopped")
+            for job in list(self._active.values()):
+                self._finish(job, CANCELLED, journal=False, reason="farm stopped")
         self._wake()
         self._dispatcher.join(timeout=10)
         for handle in self._workers:
@@ -292,9 +325,9 @@ class SimulationFarm:
         Cells already present in the shared result cache are satisfied here,
         synchronously — a fully-cached submission completes without ever
         touching the queue or a worker.  A repeated ``idempotency_key``
-        returns the original job instead of enqueuing a duplicate (the key
-        is journaled, so the dedupe survives a server restart for every job
-        that does).
+        returns the original job instead of enqueuing a duplicate — its
+        :class:`RetiredJob` if it finished long ago (the key is journaled,
+        so the dedupe survives a server restart for every job that does).
         """
         self._check_accepting()
         if not isinstance(spec, CampaignSpec):
@@ -374,12 +407,12 @@ class SimulationFarm:
         if self._draining:
             raise RuntimeError("farm is draining and not accepting new jobs")
 
-    def _idempotent(self, key: Optional[str]) -> Optional[Job]:
+    def _idempotent(self, key: Optional[str]) -> Union[Job, RetiredJob, None]:
         """Lock held: the already-submitted job for ``key``, if any."""
         if key is None:
             return None
         job_id = self._idempotency.get(key)
-        return None if job_id is None else self._jobs.get(job_id)
+        return None if job_id is None else self.get(job_id)
 
     def _register_key(self, job: Job, key: Optional[str]) -> None:
         if key is not None:
@@ -390,7 +423,7 @@ class SimulationFarm:
         """Lock held: enforce the bounded active-job depth."""
         if self.queue_limit is None:
             return
-        active = sum(1 for j in self._jobs.values() if not j.is_terminal)
+        active = len(self._active)
         if active >= self.queue_limit:
             self.counters["jobs_rejected"] += 1
             raise FarmSaturated(
@@ -411,6 +444,9 @@ class SimulationFarm:
 
     def _journal_terminal(self, job: Job) -> None:
         """Record a terminal transition durably (and the fuzz trajectory)."""
+        if job.state == CANCELLED:
+            self._journal_append("cancelled", job=job.id)
+            return
         self._journal_append("finished", job=job.id, state=job.state)
         if job.kind == FUZZ and job.state == DONE and self.history_path is not None:
             try:
@@ -437,9 +473,54 @@ class SimulationFarm:
                 # a finished job over (e.g. read-only checkout).
                 pass
 
+    def _register(self, job: Job) -> None:
+        """Lock held: add a new job to the resident records and the active index."""
+        self._jobs[job.id] = job
+        self._active[job.id] = job
+        self._kind_counts[job.kind] += 1
+
+    def _finish(self, job: Job, state: str, *, journal: bool = True,
+                **payload) -> None:
+        """Lock held: the one way a job becomes terminal.
+
+        Leaves the active index, journals the transition (unless
+        ``journal`` is False: a stop or drain cut must be resumed by a
+        restart), and retires the job unless a late shard is still in
+        flight — :meth:`_release_shard` retires it when that returns.
+        """
+        job.pending_shards.clear()
+        job.enter_state(state, **payload)
+        del self._active[job.id]
+        self._finished_counts[state] += 1
+        if journal:
+            self._journal_terminal(job)
+        if not job.in_flight:
+            self._retire(job)
+
+    def _release_shard(self, job: Job, shard_id: int) -> None:
+        """Lock held: drop a job's in-flight shard, retiring a finished job
+        once its last late shard is back."""
+        if (job.in_flight.pop(shard_id, None) is not None
+                and job.is_terminal and not job.in_flight):
+            self._retire(job)
+
+    def _retire(self, job: Job) -> None:
+        """Lock held: a finished job joins the full window.  The oldest full
+        record beyond it shrinks to a compact one, and the oldest compact
+        record beyond its window is forgotten with its idempotency key."""
+        self._window.append(job.id)
+        while len(self._window) > FULL_WINDOW_JOBS:
+            old = self._jobs.pop(self._window.popleft())
+            self._retired[old.id] = RetiredJob(old, self.cache)
+            self._retired_order.append(old.id)
+        while len(self._retired_order) > COMPACT_WINDOW_JOBS:
+            gone = self._retired.pop(self._retired_order.popleft())
+            if gone.idempotency_key is not None:
+                self._idempotency.pop(gone.idempotency_key, None)
+
     def _admit_campaign(self, job: Job, cached: dict) -> None:
         """Lock held: register, answer cached cells, shard the rest."""
-        self._jobs[job.id] = job
+        self._register(job)
         job.cached = cached
         pending = [cell for cell in sorted(job.cells, key=lambda c: c.key)
                    if cell.key not in cached]
@@ -459,8 +540,7 @@ class SimulationFarm:
         if cached:
             job.emit("cached", cells=len(cached))
         if not pending:
-            job.enter_state(DONE, cells_cached=len(cached))
-            self._journal_terminal(job)
+            self._finish(job, DONE, cells_cached=len(cached))
             return
         for shard_id, start in enumerate(range(0, len(pending), self.shard_size)):
             job.pending_shards.append(
@@ -470,9 +550,10 @@ class SimulationFarm:
 
     def _admit_fuzz(self, job: Job, restored: Dict[int, dict]) -> None:
         """Lock held: register a fuzz job; one shard per not-yet-run seed."""
-        self._jobs[job.id] = job
+        self._register(job)
+        seeds = set(job.cells)
         for seed, payload in restored.items():
-            if seed in set(job.cells):
+            if seed in seeds:
                 job.fresh[seed] = payload
         self.counters["sessions_total"] += len(job.cells)
         self.counters["sessions_recovered"] += len(job.fresh)
@@ -493,8 +574,7 @@ class SimulationFarm:
         )
         pending = [seed for seed in job.cells if seed not in job.fresh]
         if not pending:
-            job.enter_state(DONE, sessions=len(job.fresh))
-            self._journal_terminal(job)
+            self._finish(job, DONE, sessions=len(job.fresh))
             return
         for shard_id, seed in enumerate(pending):
             job.pending_shards.append(Shard(job.id, shard_id, [seed]))
@@ -557,15 +637,26 @@ class SimulationFarm:
 
     # -- control -----------------------------------------------------------------
 
-    def get(self, job_id: str) -> Optional[Job]:
-        return self._jobs.get(job_id)
+    def get(self, job_id: str) -> Union[Job, RetiredJob, None]:
+        """The job's full record, its compact record, or None if the farm
+        never issued the id or has forgotten it."""
+        with self._cond:
+            job = self._jobs.get(job_id)
+            return job if job is not None else self._retired.get(job_id)
 
-    def job_for_key(self, idempotency_key: str) -> Optional[Job]:
+    def expired(self, job_id: str) -> bool:
+        """True for an id this farm (or an earlier run on its state dir)
+        issued but no longer remembers."""
+        match = _JOB_ID.match(job_id)
+        return match is not None and 0 < int(match.group(1)) <= self._job_seq
+
+    def job_for_key(self, idempotency_key: str) -> Union[Job, RetiredJob, None]:
         """The job a previous submission with this key created, if any."""
         with self._cond:
             return self._idempotent(idempotency_key)
 
     def jobs(self) -> List[Job]:
+        """Resident jobs: the active ones plus the full window."""
         return list(self._jobs.values())
 
     def cancel(self, job_id: str) -> bool:
@@ -573,12 +664,10 @@ class SimulationFarm:
         the next shard boundary (its in-flight shard results are discarded).
         Returns False if the job is unknown or already terminal."""
         with self._cond:
-            job = self._jobs.get(job_id)
-            if job is None or job.is_terminal:
+            job = self._active.get(job_id)
+            if job is None:
                 return False
-            job.pending_shards.clear()
-            self._journal_append("cancelled", job=job.id)
-            job.enter_state(CANCELLED, shards_in_flight=len(job.in_flight))
+            self._finish(job, CANCELLED, shards_in_flight=len(job.in_flight))
         self._journal_sync()
         return True
 
@@ -596,11 +685,7 @@ class SimulationFarm:
         deadline = None if timeout_s is None else time.perf_counter() + timeout_s
         with self._cond:
             self._draining = True
-
-            def active() -> List[Job]:
-                return [j for j in self._jobs.values() if not j.is_terminal]
-
-            while active() and self._running:
+            while self._active and self._running:
                 remaining = (None if deadline is None
                              else deadline - time.perf_counter())
                 if remaining is not None and remaining <= 0:
@@ -609,11 +694,10 @@ class SimulationFarm:
                 # wakes at every cell/shard/terminal event; the cap only
                 # bounds staleness if a notification is missed.
                 self._cond.wait(timeout=0.1 if remaining is None else min(0.1, remaining))
-            leftovers = active()
+            leftovers = list(self._active.values())
             for job in leftovers:
-                job.pending_shards.clear()
-                job.enter_state(CANCELLED, reason="drain timeout",
-                                cells_done=job.cells_done)
+                self._finish(job, CANCELLED, journal=False,
+                             reason="drain timeout", cells_done=job.cells_done)
             return {
                 "drained": not leftovers,
                 "cancelled": [job.id for job in leftovers],
@@ -700,9 +784,11 @@ class SimulationFarm:
             if job is None or job.is_terminal:
                 self.counters["cells_discarded"] += 1
                 return
-            job.fresh[key] = outcome
+            # Keyed by the job's own cell: the message's key is an unpickled
+            # copy, and the full record would keep it alive.
+            cell = job.in_flight[shard_id].cell(key)
+            job.fresh[cell.key] = outcome
             self.counters["cells_executed"] += 1
-            cell = job.by_key[key]
             self.cache.put(cell, outcome)
             extra = {} if cell.faults is None else {"faults": cell.faults}
             job.emit(
@@ -727,9 +813,9 @@ class SimulationFarm:
             if job is None or job.is_terminal:
                 self.counters["cells_discarded"] += 1
                 return
-            job.errors[key] = CellError(kind="cell_exception", message=text)
+            cell = job.in_flight[shard_id].cell(key)
+            job.errors[cell.key] = CellError(kind="cell_exception", message=text)
             self.counters["cells_failed"] += 1
-            cell = job.by_key[key]
             extra = {} if cell.faults is None else {"faults": cell.faults}
             job.emit(
                 "cell_error",
@@ -830,7 +916,7 @@ class SimulationFarm:
             handle.busy_s += time.perf_counter() - shard.dispatched_at
         job = self._jobs.get(job_id)
         if job is not None:
-            job.in_flight.pop(shard_id, None)
+            self._release_shard(job, shard_id)
 
     def _save_finding(self, record) -> None:
         """Append one streamed counterexample to the server-side corpus."""
@@ -852,23 +938,18 @@ class SimulationFarm:
         if job.cells_done < len(job.cells):
             return
         if job.errors:
-            job.enter_state(FAILED, cells_failed=len(job.errors))
+            self._finish(job, FAILED, cells_failed=len(job.errors))
         else:
-            job.enter_state(DONE, cells_executed=len(job.fresh),
-                            cells_cached=len(job.cached))
-        self._journal_terminal(job)
+            self._finish(job, DONE, cells_executed=len(job.fresh),
+                         cells_cached=len(job.cached))
 
     def _check_timeouts(self) -> None:
         now = time.perf_counter()
-        for job in self._jobs.values():
-            if job.is_terminal:
-                continue
-            deadline = job.deadline
-            if deadline is not None and now >= deadline:
-                job.pending_shards.clear()
-                job.enter_state(TIMEOUT, timeout_s=job.timeout_s,
-                                cells_done=job.cells_done)
-                self._journal_terminal(job)
+        expired = [job for job in self._active.values()
+                   if job.deadline is not None and now >= job.deadline]
+        for job in expired:
+            self._finish(job, TIMEOUT, timeout_s=job.timeout_s,
+                         cells_done=job.cells_done)
 
     def _check_stuck(self) -> None:
         """SIGKILL busy workers that have gone heartbeat-silent.
@@ -926,7 +1007,7 @@ class SimulationFarm:
             job = self._jobs.get(shard.job_id)
             if job is None:
                 continue
-            job.in_flight.pop(shard.shard_id, None)
+            self._release_shard(job, shard.shard_id)
             if job.is_terminal:
                 continue
             if shard.attempts <= 1:
@@ -935,7 +1016,7 @@ class SimulationFarm:
                 # reported are kept; re-running those cells overwrites them
                 # with identical values (cells are deterministic).
                 self.counters["shards_retried"] += 1
-                job.pending_shards.appendleft(shard)
+                job.pending_shards.insert(0, shard)
                 self._queue.push(job)
                 job.emit("shard_retry", shard=shard.shard_id,
                          worker=handle.worker_id, stuck=stuck)
@@ -977,7 +1058,7 @@ class SimulationFarm:
             job = self._queue.pop()
             if job is None:
                 return
-            shard = job.pending_shards.popleft()
+            shard = job.pending_shards.pop(0)
             if job.pending_shards:
                 self._queue.push(job)
             if job.state == QUEUED:
@@ -1012,15 +1093,10 @@ class SimulationFarm:
         with self._cond:
             worker_records = [w.snapshot() for w in self._workers]
             busy = sum(1 for w in self._workers if w.busy is not None)
-            states = {state: 0 for state in
-                      (QUEUED, RUNNING, DONE, FAILED, CANCELLED, TIMEOUT)}
-            kinds = {CAMPAIGN: 0, FUZZ: 0}
-            active = 0
-            for job in self._jobs.values():
-                states[job.state] = states.get(job.state, 0) + 1
-                kinds[job.kind] = kinds.get(job.kind, 0) + 1
-                if not job.is_terminal:
-                    active += 1
+            states = dict({QUEUED: 0, RUNNING: 0}, **self._finished_counts)
+            for job in self._active.values():
+                states[job.state] += 1
+            active = len(self._active)
             uptime = (time.perf_counter() - self._started_at
                       if self._started_at is not None else 0.0)
             total = self.counters["cells_total"]
@@ -1045,7 +1121,9 @@ class SimulationFarm:
                 "saturated": (self.queue_limit is not None
                               and active >= self.queue_limit),
                 "jobs": dict(states, submitted=self._job_seq),
-                "job_kinds": kinds,
+                "job_kinds": dict(self._kind_counts),
+                "jobs_resident": len(self._jobs),
+                "jobs_compact": len(self._retired),
                 "cells": dict(self.counters),
                 "cache_hit_rate": (cached / total) if total else None,
                 "cache_entries": len(self.cache),

@@ -12,6 +12,10 @@ the dispatcher all share it), and every observable change appends an event
 and notifies the condition — that one mechanism drives ``wait()``, the
 streaming ``/jobs/<id>/events`` endpoint and the CLI progress display.
 
+A finished job does not keep all of that forever: once it drops out of the
+farm's window of recent full records it shrinks to a :class:`RetiredJob`,
+which still answers status, result and idempotent resubmission.
+
 :class:`JobQueue` orders runnable jobs by priority (higher number runs
 sooner) and FIFO within a priority (by submission sequence number).  It is
 *not* itself thread-safe: it is only touched under the farm lock.
@@ -25,10 +29,10 @@ import itertools
 import json
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.campaign.cache import ResultCache
 from repro.campaign.executor import CellError, CellOutcome
 from repro.campaign.result import CampaignResult, cell_result
 from repro.campaign.spec import CampaignCell, CampaignSpec
@@ -133,6 +137,10 @@ class Shard:
     worker_id: Optional[int] = None
     dispatched_at: Optional[float] = None
 
+    def cell(self, key: tuple) -> CampaignCell:
+        """The campaign cell of this shard whose ``key`` is ``key``."""
+        return next(cell for cell in self.cells if cell.key == key)
+
 
 class Job:
     """One submitted campaign spec and everything that happens to it."""
@@ -159,6 +167,7 @@ class Job:
         #: server restart rather than submitted by a client this lifetime.
         self.recovered = False
         self.idempotency_key: Optional[str] = None
+        self.spec_fingerprint = spec.fingerprint()
 
         self.state = QUEUED
         self.submitted_wall = time.time()
@@ -171,17 +180,14 @@ class Job:
         #: identical to the batch runner's.  Campaign jobs: the grid's
         #: :class:`CampaignCell` expansion, keyed by ``cell.key``.  Fuzz
         #: jobs: the seed range, keyed by the seed itself.
-        if kind == FUZZ:
-            self.cells: List = spec.seeds()
-            self.by_key: Dict[tuple, CampaignCell] = {}
-        else:
-            self.cells = spec.cells()
-            self.by_key = {c.key: c for c in self.cells}
+        self.cells: List = spec.seeds() if kind == FUZZ else spec.cells()
         self.cached: Dict[tuple, CellOutcome] = {}
         self.fresh: Dict = {}
         self.errors: Dict = {}
 
-        self.pending_shards: Deque[Shard] = deque()
+        #: A list, not a deque: a job has a few shards or none, and an empty
+        #: deque costs 760 bytes in every job the farm keeps.
+        self.pending_shards: List[Shard] = []
         self.in_flight: Dict[int, Shard] = {}
         self.events: List[dict] = []
         #: FIFO position within this job's priority class; assigned by the
@@ -209,6 +215,13 @@ class Job:
     def elapsed_s(self) -> float:
         end = self.finished if self.finished is not None else time.perf_counter()
         return end - self.submitted
+
+    @property
+    def simulated_cycles(self) -> int:
+        """Cycles this job simulated itself (executed cells, not cached or
+        failed ones)."""
+        return sum(outcome[1] for key, outcome in self.fresh.items()
+                   if key not in self.errors)
 
     # -- events (callers hold self.cond) ----------------------------------------
 
@@ -251,7 +264,7 @@ class Job:
             "shards_pending": len(self.pending_shards),
             "shards_in_flight": len(self.in_flight),
             "events": len(self.events),
-            "spec_fingerprint": self.spec.fingerprint(),
+            "spec_fingerprint": self.spec_fingerprint,
         }
 
     def wait(self, timeout: Optional[float] = None) -> str:
@@ -344,7 +357,7 @@ class Job:
                 "elapsed_s": round(self.elapsed_s, 6),
                 "sessions_total": len(self.cells),
                 "sessions_failed": len(errors),
-                "spec_fingerprint": self.spec.fingerprint(),
+                "spec_fingerprint": self.spec_fingerprint,
             },
         }
 
@@ -374,24 +387,106 @@ class Job:
             else:
                 outcome = self.fresh[cell.key]
             results.append(cell_result(cell, outcome, cached=cell.key in self.cached))
-        elapsed = (self.finished or time.perf_counter()) - self.submitted
-        total_cycles = sum(r.cycles for r in results if not r.cached and r.error is None)
         return CampaignResult(
-            spec=self.spec,
-            cells=results,
-            meta={
-                "executor": "farm",
-                "job_id": self.id,
-                "priority": self.priority,
-                "elapsed_s": round(elapsed, 6),
-                "cells_total": len(self.cells),
-                "cells_cached": len(self.cached),
-                "cells_executed": len(self.fresh),
-                "cells_failed": len(self.errors),
-                "simulated_cycles": total_cycles,
-                "spec_fingerprint": self.spec.fingerprint(),
-            },
+            spec=self.spec, cells=results,
+            meta=_campaign_meta(self.snapshot(), self.simulated_cycles),
         )
+
+
+def _campaign_meta(snapshot: dict, simulated_cycles: int) -> dict:
+    """A campaign result's run metadata, from the job's status snapshot."""
+    return {
+        "executor": "farm",
+        "job_id": snapshot["id"],
+        "priority": snapshot["priority"],
+        "elapsed_s": snapshot["elapsed_s"],
+        "cells_total": snapshot["cells_total"],
+        "cells_cached": snapshot["cells_cached"],
+        "cells_executed": snapshot["cells_executed"],
+        "cells_failed": snapshot["cells_failed"],
+        "simulated_cycles": simulated_cycles,
+        "spec_fingerprint": snapshot["spec_fingerprint"],
+    }
+
+
+class ResultUnavailable(LookupError):
+    """A compact job's result can no longer be rebuilt (a cell's cache
+    entry is missing or corrupt); the HTTP layer answers 410."""
+
+
+class RetiredJob:
+    """A finished job shrunk to a compact record of about 1 KB.
+
+    The farm keeps full :class:`Job` records (cell grid, outcomes, event
+    log) only for its newest finished jobs; an older one is replaced by
+    this.  It keeps the final status snapshot, the idempotency key and
+    whatever rebuilds the result: the spec and any error rows for a
+    campaign job, whose cells are re-read from the result cache; the
+    aggregate payload for a fuzz job.  Cancelled and timed-out jobs never
+    had a result, so they keep nothing for it.  The event log is gone.
+    """
+
+    __slots__ = ("id", "kind", "state", "idempotency_key", "_snapshot",
+                 "_spec_text", "_errors", "_cycles", "_fuzz", "_cache")
+
+    def __init__(self, job: Job, cache: ResultCache) -> None:
+        self.id = job.id
+        self.kind = job.kind
+        self.state = job.state
+        self.idempotency_key = job.idempotency_key
+        self._snapshot = tuple(job.snapshot().values())
+        self._spec_text = self._errors = self._cycles = self._fuzz = None
+        self._cache = cache
+        if job.state not in (DONE, FAILED):
+            return
+        if job.kind == FUZZ:
+            self._fuzz = job.fuzz_result()
+            return
+        self._spec_text = json.dumps(job.spec.describe(), separators=(",", ":"))
+        self._errors = dict(job.errors) or None
+        self._cycles = job.simulated_cycles
+
+    def snapshot(self) -> dict:
+        """The final status snapshot: the same keys a full job reports."""
+        return dict(zip(_SNAPSHOT_KEYS, self._snapshot))
+
+    def wait(self, timeout: Optional[float] = None) -> str:
+        """A compact job is terminal: its state, at once."""
+        return self.state
+
+    def result_payload(self) -> dict:
+        """Rebuild the result a full job served; call without the farm lock
+        (a campaign rebuild reads the result cache)."""
+        if self._fuzz is not None:
+            return self._fuzz
+        if self._spec_text is None:
+            raise ValueError(
+                f"job {self.id} is {self.state}; results exist only for "
+                "done/failed jobs"
+            )
+        spec = CampaignSpec.from_dict(json.loads(self._spec_text))
+        errors = self._errors or {}
+        results = []
+        for cell in spec.cells():
+            outcome = errors.get(cell.key) or self._cache.get(cell)
+            if outcome is None:
+                raise ResultUnavailable(
+                    f"job {self.id}: cell {cell.label}/s{cell.scenario.number}"
+                    f"/seed{cell.seed}/r{cell.repeat} is no longer in the "
+                    "result cache"
+                )
+            results.append(cell_result(cell, outcome))
+        return CampaignResult(
+            spec=spec, cells=results,
+            meta=_campaign_meta(self.snapshot(), self._cycles),
+        ).to_dict()
+
+
+#: Keys of :meth:`Job.snapshot`, in order; a :class:`RetiredJob` stores the
+#: values only.
+_SNAPSHOT_KEYS = tuple(
+    Job("", FuzzJobSpec(seed_start=0, sessions=1, budget=1), kind=FUZZ).snapshot()
+)
 
 
 class JobQueue:

@@ -268,6 +268,62 @@ class TestInProcessRecovery:
         finally:
             _unregister("zz_slowrec")
 
+    @fork_only
+    def test_restart_after_eviction_resumes_the_live_job(self, tmp_path, monkeypatch):
+        """Finished jobs shrunk to compact records, or forgotten, change
+        nothing about recovery: the live job resumes bit-identical and the
+        id sequence continues past every id issued before the restart."""
+        import repro.service.farm as farm_mod
+
+        monkeypatch.setattr(farm_mod, "FULL_WINDOW_JOBS", 1)
+        monkeypatch.setattr(farm_mod, "COMPACT_WINDOW_JOBS", 2)
+        _register("zz_slowrec", _SlowRunner)
+        try:
+            spec = CampaignSpec(
+                implementations=("zz_slowrec",), scenarios=SCENARIOS[:4],
+                name="evict-live",
+            )
+            filler = small_spec(name="evict-filler")
+            farm = SimulationFarm(workers=1, shard_size=1,
+                                  state_dir=tmp_path / "state").start()
+            try:
+                finished = [farm.submit(filler, idempotency_key="fill-0")]
+                assert finished[0].wait(timeout=60) == DONE
+                finished += [farm.submit(filler, idempotency_key=f"fill-{i}")
+                             for i in range(1, 5)]
+                stats = farm.stats()
+                assert stats["jobs_resident"] == 1 and stats["jobs_compact"] == 2
+                job = farm.submit(spec, priority=3)
+                with farm.lock:
+                    while len(job.fresh) < 1:
+                        farm.lock.wait(1.0)
+            finally:
+                farm.stop()
+
+            farm2 = SimulationFarm(workers=1, shard_size=1,
+                                   state_dir=tmp_path / "state").start()
+            try:
+                assert farm2.counters["jobs_recovered"] == 1
+                recovered = farm2.get(job.id)
+                assert recovered.recovered and recovered.priority == 3
+                cached = len(recovered.cached)
+                assert recovered.wait(timeout=60) == DONE
+                assert farm2.counters["cells_executed"] == (
+                    len(recovered.cells) - cached
+                )
+                diff = recovered.result().diff(run_campaign(spec))
+                assert diff is None, diff
+                for old in finished:
+                    assert farm2.get(old.id) is None
+                    assert farm2.expired(old.id)
+                issued = {old.id for old in finished} | {job.id}
+                later = farm2.submit(filler, idempotency_key="fill-0")
+                assert later.id not in issued and later.id > job.id
+            finally:
+                farm2.stop()
+        finally:
+            _unregister("zz_slowrec")
+
     def test_fuzz_job_resumes_from_journaled_sessions(self, tmp_path):
         pytest.importorskip("hypothesis")
         from repro.fuzz.session import run_session

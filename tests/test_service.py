@@ -925,3 +925,296 @@ class TestFuzzJobs:
         with pytest.raises(ServiceError) as exc:
             client.submit_fuzz(seed_start=0, sessions=0, budget=4)
         assert exc.value.status == 400
+
+
+# ---------------------------------------------------------------------------
+# Bounded retention: compact records, forgotten ids, the active index
+# ---------------------------------------------------------------------------
+
+
+def _raw_get(client, path):
+    """One GET without the client's conveniences: (status, JSON body)."""
+    import json
+    from http.client import HTTPConnection
+
+    connection = HTTPConnection(client.host, client.port, timeout=30)
+    try:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read() or b"{}")
+    finally:
+        connection.close()
+
+
+@pytest.fixture
+def small_windows(monkeypatch):
+    """Two full records and four compact ones, so eviction is cheap to reach."""
+    import repro.service.farm as farm_mod
+
+    monkeypatch.setattr(farm_mod, "FULL_WINDOW_JOBS", 2)
+    monkeypatch.setattr(farm_mod, "COMPACT_WINDOW_JOBS", 4)
+    return 2, 4
+
+
+@pytest.fixture
+def evicting_farm(small_windows):
+    with SimulationFarm(workers=1, name="evicting-farm") as farm:
+        server, _thread = serve_farm_in_thread(farm)
+        try:
+            yield farm, ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
+def _push_out(farm, spec, count):
+    """Finish ``count`` fully cached jobs, sliding older ones out of the windows."""
+    for _ in range(count):
+        assert farm.submit(spec).state == DONE
+
+
+class TestRetention:
+    def test_resident_jobs_never_exceed_active_plus_the_full_window(self, small_windows):
+        full, compact = small_windows
+        spec = small_spec(name="retain-bound", seed=70)
+        with SimulationFarm(workers=1) as farm:
+            assert farm.submit(spec).wait(timeout=60) == DONE
+            jobs = [farm.submit(small_spec(name="retain-miss", seed=80 + i))
+                    for i in range(3)]
+            for _ in range(12):
+                assert farm.submit(spec).state == DONE
+                stats = farm.stats()
+                assert len(farm.jobs()) <= stats["active_jobs"] + full
+                assert stats["jobs_resident"] == len(farm.jobs())
+                assert stats["jobs_compact"] <= compact
+            for job in jobs:
+                assert job.wait(timeout=60) == DONE
+            stats = farm.stats()
+            # Lifetime counters keep counting what the windows forgot.
+            assert stats["jobs"][DONE] == 16
+            assert stats["job_kinds"]["campaign"] == 16
+            assert stats["jobs"]["submitted"] == 16
+            assert stats["active_jobs"] == 0
+            assert stats["jobs_resident"] == full
+
+    def test_compact_job_answers_status_result_and_events(self, evicting_farm):
+        farm, client = evicting_farm
+        spec = small_spec(count=3, name="evict", seed=71)
+        first = client.submit(spec, idempotency_key="evict-key")
+        client.wait(first["id"], timeout=60)
+        status, result = client.status(first["id"]), client.result(first["id"])
+
+        _push_out(farm, spec, 2)
+        from repro.service import RetiredJob
+
+        assert isinstance(farm.get(first["id"]), RetiredJob)
+        assert first["id"] not in {job["id"] for job in client.jobs()}
+        assert client.status(first["id"]) == status
+        assert client.result(first["id"]) == result
+        assert result["cells"] == run_campaign(spec).payload()
+
+        code, body = _raw_get(client, f"/jobs/{first['id']}/events")
+        assert code == 410
+        assert body["evicted"] is True and body["state"] == DONE
+        assert list(client.events(first["id"])) == []
+        assert client.wait(first["id"], timeout=10)["state"] == DONE
+
+        again = client.submit(spec, idempotency_key="evict-key")
+        assert again["id"] == first["id"]
+        assert again["duplicate"] is True
+        in_process = farm.submit(spec, idempotency_key="evict-key")
+        assert in_process.id == first["id"] and in_process.wait() == DONE
+
+    def test_forgotten_job_answers_404_and_its_key_is_free(self, evicting_farm, small_windows):
+        farm, client = evicting_farm
+        full, compact = small_windows
+        spec = small_spec(name="forget", seed=72)
+        first = client.submit(spec, idempotency_key="forget-key")
+        client.wait(first["id"], timeout=60)
+
+        _push_out(farm, spec, full + compact)
+        assert farm.get(first["id"]) is None
+        with pytest.raises(ServiceError) as excinfo:
+            client.status(first["id"])
+        assert excinfo.value.status == 404
+        assert "expired" in str(excinfo.value)
+        with pytest.raises(ServiceError) as excinfo:
+            client.status("j999999")  # never issued: not "expired"
+        assert "no such job" in str(excinfo.value)
+
+        again = client.submit(spec, idempotency_key="forget-key")
+        assert again["id"] != first["id"]
+        assert "duplicate" not in again
+
+    def test_compact_result_with_a_lost_cache_entry_is_410(self, evicting_farm):
+        farm, client = evicting_farm
+        spec = small_spec(name="evict-lost", seed=73)
+        job = client.submit(spec)
+        client.wait(job["id"], timeout=60)
+        _push_out(farm, spec, 2)
+        for entry in farm.cache.directory.glob("*.json"):
+            entry.write_text("{ torn")
+        code, body = _raw_get(client, f"/jobs/{job['id']}/result")
+        assert code == 410
+        assert "no longer in the result cache" in body["error"]
+
+    @fork_only
+    def test_failed_job_keeps_its_error_rows(self, small_windows):
+        _register("zz_exit", _ExitingRunner)
+        try:
+            crash_spec = CampaignSpec(
+                implementations=("zz_exit",), scenarios=SCENARIOS[:1],
+                name="evict-crash",
+            )
+            cached_spec = small_spec(name="evict-crash-filler", seed=74)
+            with SimulationFarm(workers=1, shard_size=1) as farm:
+                job = farm.submit(crash_spec)
+                assert job.wait(timeout=60) == FAILED
+                before = job.result_payload()
+                assert farm.submit(cached_spec).wait(timeout=60) == DONE
+                _push_out(farm, cached_spec, 2)
+                compact = farm.get(job.id)
+                assert compact is not job and compact.state == FAILED
+                assert compact.result_payload() == before
+                (cell,) = before["cells"]
+                assert "worker_crash" in cell["error"]
+        finally:
+            _unregister("zz_exit")
+
+    @fork_only
+    def test_job_cancelled_mid_shard_retires_only_after_its_late_shard(self, small_windows):
+        _register("zz_slow", _SlowRunner)
+        try:
+            slow_spec = CampaignSpec(
+                implementations=("zz_slow",), scenarios=SCENARIOS[:2],
+                name="evict-cancel",
+            )
+            with SimulationFarm(workers=1, shard_size=1) as farm:
+                cached_spec = small_spec(name="evict-cancel-filler", seed=75)
+                assert farm.submit(cached_spec).wait(timeout=60) == DONE
+                job = farm.submit(slow_spec)
+                with farm.lock:
+                    while not job.in_flight:
+                        farm.lock.wait(1.0)
+                assert farm.cancel(job.id) is True
+                with farm.lock:
+                    # Three later jobs finish while the late shard runs:
+                    # enough to push the job out if it had been retired.
+                    _push_out(farm, cached_spec, 3)
+                    assert job.in_flight
+                    assert farm.get(job.id) is job
+                deadline = time.monotonic() + 30
+                with farm.lock:
+                    while job.in_flight and time.monotonic() < deadline:
+                        farm.lock.wait(0.1)
+                assert not job.in_flight
+                assert farm.get(job.id) is job  # newest in the full window
+                _push_out(farm, cached_spec, 2)
+                compact = farm.get(job.id)
+                assert compact is not job and compact.state == CANCELLED
+                assert job.cells_done < len(job.cells)  # late cells discarded
+        finally:
+            _unregister("zz_slow")
+
+    def test_evicted_fuzz_job_keeps_its_aggregate(self, small_windows):
+        pytest.importorskip("hypothesis")
+        from repro.service import FuzzJobSpec
+
+        with SimulationFarm(workers=1) as farm:
+            job = farm.submit_fuzz(FuzzJobSpec(seed_start=3, sessions=1, budget=2))
+            assert job.wait(timeout=300) == DONE
+            before = job.result_payload()
+            cached_spec = small_spec(name="evict-fuzz-filler", seed=76)
+            assert farm.submit(cached_spec).wait(timeout=60) == DONE
+            _push_out(farm, cached_spec, 2)
+            compact = farm.get(job.id)
+            assert compact is not job
+            assert compact.result_payload() == before
+            assert compact.snapshot()["kind"] == "fuzz"
+
+
+class TestResponsesOutsideTheLock:
+    def test_status_result_and_events_are_written_without_the_farm_lock(self):
+        """A slow reader must never stall the dispatcher or other handlers:
+        every byte of a response is written with the farm lock released."""
+        import threading
+
+        from repro.service.api import FarmHTTPServer, build_handler
+
+        held = []
+
+        with SimulationFarm(workers=1, name="lock-free-writes") as farm:
+            base = build_handler(farm)
+
+            class _Writer:
+                def __init__(self, raw):
+                    self._raw = raw
+
+                def write(self, data):
+                    held.append(farm.lock._is_owned())
+                    return self._raw.write(data)
+
+                def __getattr__(self, name):
+                    return getattr(self._raw, name)
+
+            class Handler(base):
+                def setup(self):
+                    super().setup()
+                    self.wfile = _Writer(self.wfile)
+
+            server = FarmHTTPServer(("127.0.0.1", 0), Handler)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            try:
+                client = ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
+                job = client.submit(small_spec(name="lock-free", seed=77))
+                client.wait(job["id"], timeout=60)
+                held.clear()
+                client.status(job["id"])
+                client.result(job["id"])
+                assert list(client.events(job["id"]))
+                assert held and not any(held), held
+            finally:
+                server.shutdown()
+                server.server_close()
+
+
+class TestBoundedMemory:
+    def test_cached_submits_do_not_grow_memory(self, monkeypatch):
+        """Fully cached submits, one key each, against windows of 8 full and
+        256 compact records: once both windows are full, 500 more submits
+        leave the farm holding no more memory than before them.
+
+        Growth is measured over two consecutive 500-submit spans and the
+        smaller one is checked: CPython's interned-string table, which
+        pathlib churns on every cache lookup, can double once at an
+        arbitrary submit (one ~1 MB block), while farm state that grows
+        per job would show in both spans."""
+        import gc
+        import tracemalloc
+
+        import repro.service.farm as farm_mod
+
+        monkeypatch.setattr(farm_mod, "FULL_WINDOW_JOBS", 8)
+        monkeypatch.setattr(farm_mod, "COMPACT_WINDOW_JOBS", 256)
+        spec = small_spec(name="soak", seed=78)
+        marks = {}
+        with SimulationFarm(workers=1) as farm:
+            assert farm.submit(spec).wait(timeout=60) == DONE
+            tracemalloc.start()
+            try:
+                for index in range(1, 2001):
+                    job = farm.submit(spec, idempotency_key=f"soak-{index}")
+                    assert job.state == DONE
+                    del job
+                    assert len(farm.jobs()) <= 8
+                    if index % 500 == 0:
+                        gc.collect()
+                        marks[index] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            growth = min(marks[1500] - marks[1000], marks[2000] - marks[1500])
+            assert growth <= 256 * 1024, f"grew {growth} bytes per 500 submits"
+            stats = farm.stats()
+            assert stats["jobs_compact"] == 256
+            assert stats["jobs_resident"] == 8
