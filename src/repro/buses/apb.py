@@ -13,7 +13,7 @@ to every transaction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.buses.base import BusMaster, BusTransaction, SlaveBundle
 from repro.rtl.fsm import Active, Call, Exec, Goto, If, Redispatch, Schedule
@@ -53,14 +53,8 @@ class APBMaster(BusMaster):
     ARBITRATION_CYCLES = 3
     RECOVERY_CYCLES = 1
 
-    def __init__(
-        self,
-        name: str,
-        slave: APBSlaveBundle,
-        base_address: int = 0,
-        fsm_backend: Optional[str] = None,
-    ) -> None:
-        super().__init__(name, slave, fsm_backend=fsm_backend)
+    def __init__(self, name: str, slave: APBSlaveBundle, base_address: int = 0) -> None:
+        super().__init__(name, slave)
         self.base_address = base_address
         self._phase = "idle"
         self._delay = 0
@@ -152,64 +146,3 @@ class APBMaster(BusMaster):
         )
         self._phase = "bridge"
         self._delay = self.ARBITRATION_CYCLES
-
-    def _tick(self, transaction: BusTransaction) -> bool:
-        # The APB never waits on the peripheral: outside the bridge/recovery
-        # countdowns (which sleep under timed wakes) every phase of a
-        # transfer makes progress, so the FSM is active on every access
-        # cycle and has no _wake_signals().
-        slave = self.slave
-        phase = self._phase
-
-        if phase == "bridge":
-            until = self._delay_until
-            if until is None:
-                self._delay_until = until = self._cycle + self._delay
-            if self._cycle < until:
-                return self._sleep_until(until)
-            self._delay_until = None
-            phase = self._phase = "setup"
-            # fall through
-
-        if phase == "setup":
-            slave.psel.schedule(1)
-            slave.penable.schedule(0)
-            slave.pwrite.schedule(1 if self._active_write else 0)
-            slave.paddr.schedule(transaction.address + self._word_index * (slave.data_width // 8))
-            if self._active_write:
-                slave.pwdata.schedule(transaction.data[self._word_index])
-            self._phase = "access"
-            return True
-
-        if phase == "access":
-            slave.penable.schedule(1)
-            self._phase = "complete"
-            return True
-
-        if phase == "complete":
-            # The access cycle has committed: the slave saw PENABLE this
-            # cycle and read data (if any) is now on PRDATA.
-            if not self._active_write:
-                transaction.results.append(slave.prdata._value)
-            slave.psel.schedule(0)
-            slave.penable.schedule(0)
-            slave.pwrite.schedule(0)
-            slave.pwdata.schedule(0)
-            self._word_index += 1
-            if self._word_index < self._active_total:
-                self._phase = "setup"
-            else:
-                self._phase = "recover"
-                self._delay = self.RECOVERY_CYCLES
-            return True
-
-        if phase == "recover":
-            until = self._delay_until
-            if until is None:
-                self._delay_until = until = self._cycle + self._delay
-            if self._cycle < until:
-                return self._sleep_until(until)
-            self._delay_until = None
-            self._complete(transaction)
-            self._phase = "idle"
-        return True

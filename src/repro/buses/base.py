@@ -40,7 +40,6 @@ from repro.rtl.fsm import (
     If,
     Sleep,
     StateDispatch,
-    resolve_backend,
 )
 from repro.rtl.module import Module
 
@@ -194,11 +193,13 @@ class SlaveBundle:
 class BusMaster(Module):
     """Common transaction queue / bookkeeping for every bus master model.
 
-    Subclasses implement :meth:`_tick`, a clocked process advancing the
-    native-protocol state machine one cycle.  Masters are fully clocked —
-    they register no combinational processes — so on cycles where a master
-    sits idle and schedules no differing signal value, the event-driven
-    kernel's settle-skipping fast path applies.
+    Subclasses describe their native protocol as FSM IR states
+    (:meth:`_fsm_protocol_states`); :meth:`_register_tick` wraps them in the
+    shared frame built by :meth:`_fsm_spec` and registers the machine as
+    the master's one clocked process.  Masters are fully clocked — they
+    register no combinational processes — so on cycles where a master sits
+    idle and schedules no differing signal value, the event-driven kernel's
+    settle-skipping fast path applies.
 
     Masters also opt into the compiled kernel's wait-state elision: the
     clocked process declares the slave handshake signals it reacts to (the
@@ -221,9 +222,7 @@ class BusMaster(Module):
     #: use equality against a masked target (wrap-safe for a blocking CPU).
     COUNT_WIDTH = 32
 
-    def __init__(
-        self, name: str, slave: SlaveBundle, fsm_backend: Optional[str] = None
-    ) -> None:
+    def __init__(self, name: str, slave: SlaveBundle) -> None:
         super().__init__(name)
         self.slave = slave
         self._queue: Deque[BusTransaction] = deque()
@@ -251,37 +250,33 @@ class BusMaster(Module):
         #: wakes on the very next cycle — the same cycle it would have popped
         #: the queue had it been running.
         self._wake = self.signal("WAKE", width=1)
-        self._fsm_backend = resolve_backend(fsm_backend)
-        self.fsm: Optional[BoundFsm] = None
         # Subclasses finish their own construction (protocol registers,
-        # request-signal groups) and then call _register_tick(), which
-        # builds the FSM-IR machine (or registers the retained Python tick).
+        # request-signal groups) and then call _register_tick().
 
     def _register_tick(self) -> None:
-        """Register the clocked process — IR machine or retained Python tick.
+        """Build the master's FSM-IR machine and register it as the clocked
+        process.
 
-        Called at the end of every subclass ``__init__`` (the IR machine's
+        Called at the end of every subclass ``__init__`` (the machine's
         bindings reference protocol registers the subclass creates after
         ``super().__init__``).
         """
-        sensitivity = [self._wake] + list(self._wake_signals())
-        if self._fsm_backend == "ir":
-            self.fsm = BoundFsm(
-                self._fsm_spec(),
-                self,
-                signals=self._fsm_signals(),
-                groups=self._fsm_groups(),
-                helpers={
-                    "h_finish_script": self._finish_script,
-                    "h_start_script_op": self._start_script_op,
-                    "h_pop_queue": self._pop_queue,
-                    **self._fsm_helpers(),
-                },
-                consts=self._fsm_consts(),
-            )
-            self.clocked(self.fsm.tick, sensitive_to=sensitivity)
-        else:
-            self.clocked(self._base_tick, sensitive_to=sensitivity)
+        self.fsm = BoundFsm(
+            self._fsm_spec(),
+            self,
+            signals=self._fsm_signals(),
+            groups=self._fsm_groups(),
+            helpers={
+                "h_finish_script": self._finish_script,
+                "h_start_script_op": self._start_script_op,
+                "h_pop_queue": self._pop_queue,
+                **self._fsm_helpers(),
+            },
+            consts=self._fsm_consts(),
+        )
+        self.clocked(
+            self.fsm.tick, sensitive_to=[self._wake] + list(self._wake_signals())
+        )
 
     # -- FSM IR assembly ------------------------------------------------------
 
@@ -296,20 +291,23 @@ class BusMaster(Module):
         it is built once per class and shared: spec validation and the
         standalone-tick codegen are amortised across every instance.
 
-        The entry tree is the exact transliteration of :meth:`_base_tick` —
-        elision-proof cycle resynchronisation, skipped-busy crediting, the
-        inter-operation gap countdown, script-op start and queue pop — and
-        dispatches into the subclass's protocol states only when a
-        transaction is (or just became) active.  Transaction-boundary work
-        (``_begin`` via the pop/start helpers, ``_complete``, script
-        bookkeeping) stays in the retained Python helpers; everything that
-        runs on ordinary bus cycles is IR.
+        The entry tree does the elision-proof cycle resynchronisation, the
+        skipped-busy crediting, the inter-operation gap countdown, script-op
+        start and queue pop, and dispatches into the subclass's protocol
+        states only when a transaction is (or just became) active.
+        Transaction-boundary work (``_begin`` via the pop/start helpers,
+        ``_complete``, script bookkeeping) stays in Python helpers;
+        everything that runs on ordinary bus cycles is IR.
         """
         cached = type(self).__dict__.get("_fsm_spec_cache")
         if cached is not None:
             return cached
         entry = (
             Exec("go = 0"),
+            # The cycle counter is resynchronised from the simulator, and
+            # busy cycles skipped while parked mid-transaction (possible only
+            # in an acknowledge wait, where the bus stays busy) are credited
+            # on wake-up: the totals match running every cycle.
             Exec("c1 = CYCLE + 1"),
             If(
                 "m.active is not None",
@@ -325,6 +323,8 @@ class BusMaster(Module):
                     If(
                         "m._gap_left",
                         (
+                            # Inter-operation gap: the bus sits idle exactly
+                            # as between blocking execute() calls.
                             Exec("m._gap_left -= 1"),
                             If(
                                 "not m._gap_left and m._script is not None "
@@ -353,6 +353,8 @@ class BusMaster(Module):
                                             Call("h_pop_queue"),
                                             Exec("m.total_busy_cycles += 1; go = 1"),
                                         ),
+                                        # Idle and empty: sleep until a
+                                        # submit toggles WAKE.
                                         orelse=(Active("False"),),
                                     ),
                                 ),
@@ -392,8 +394,7 @@ class BusMaster(Module):
         """The shared delay-countdown pattern (arbitration, bridge, recovery).
 
         Expressed against the elision-proof cycle counter so the machine can
-        sleep through the wait on kernels with timed wakes — the lowered
-        form of :meth:`_sleep_until`.
+        sleep through the wait on kernels with timed wakes.
         """
         return (
             If(
@@ -409,8 +410,8 @@ class BusMaster(Module):
 
     def _fsm_protocol_states(self) -> Dict[str, tuple]:  # pragma: no cover - abstract
         raise NotImplementedError(
-            f"{type(self).__name__} does not describe its protocol as FSM IR; "
-            f"construct it with fsm_backend='python'"
+            f"{type(self).__name__} does not describe its protocol as FSM IR "
+            f"(override _fsm_protocol_states)"
         )
 
     def _fsm_external_states(self) -> tuple:
@@ -433,17 +434,6 @@ class BusMaster(Module):
             "RECOV": type(self).RECOVERY_CYCLES,
         }
 
-    def attach(self, simulator) -> None:
-        # Safety net for third-party masters predating the FSM-IR port: a
-        # subclass that never called _register_tick() still gets the retained
-        # Python tick registered, exactly as before.
-        if not self._clocked:
-            self.clocked(
-                self._base_tick,
-                sensitive_to=[self._wake] + list(self._wake_signals()),
-            )
-        super().attach(simulator)
-
     def _wake_signals(self) -> List:
         """Slave-side signals whose changes must wake a parked master.
 
@@ -457,24 +447,6 @@ class BusMaster(Module):
         """The current bus cycle, valid even while this process is elided."""
         sim = self._simulator
         return sim.cycle if sim is not None else self._cycle
-
-    def _sleep_until(self, target: int) -> bool:
-        """Park a pure countdown until master-cycle ``target``; return False.
-
-        On kernels with timed wakes the master is skipped until the target
-        cycle (its cycle counter resynchronises on wake-up); scan kernels run
-        it every cycle regardless, and the countdown re-checks the target —
-        identical externally either way.  Returns the activity flag to hand
-        back from ``_tick`` (True when the target is next cycle anyway).
-        """
-        sim = self._simulator
-        if sim is None or not sim.timed_wakes:
-            return True
-        delta = target - self._cycle
-        if delta <= 1:
-            return True
-        sim.wake_after(self._base_tick, delta)
-        return False
 
     # -- driver-facing API ----------------------------------------------------
 
@@ -525,43 +497,7 @@ class BusMaster(Module):
             return 0.0
         return self.total_busy_cycles / cycles
 
-    # -- simulation -------------------------------------------------------------
-
-    def _base_tick(self) -> bool:
-        # Elision-proof cycle accounting: the counter is resynchronised from
-        # the simulator, and busy cycles skipped while parked mid-transaction
-        # (possible only in an acknowledge wait, where the bus stays busy)
-        # are credited on wake-up — identical totals to running every cycle.
-        sim = self._simulator
-        cycle = (sim.cycle + 1) if sim is not None else (self._cycle + 1)
-        active = self.active
-        skipped = cycle - self._cycle - 1
-        if skipped > 0 and active is not None:
-            self.total_busy_cycles += skipped
-        self._cycle = cycle
-        if active is None:
-            if self._gap_left:
-                # Inter-operation gap: the bus sits idle exactly as it did
-                # between blocking execute() calls.
-                self._gap_left -= 1
-                if (
-                    not self._gap_left
-                    and self._script is not None
-                    and self._script_pc >= len(self._script.ops)
-                ):
-                    self._finish_script()
-                return True
-            if self._script is not None:
-                active = self._start_script_op()
-                if active is None:
-                    return True
-            elif self._queue:
-                active = self._pop_queue()
-            else:
-                # Idle and empty: sleep until a submit toggles WAKE.
-                return False
-        self.total_busy_cycles += 1
-        return self._tick(active) is not False
+    # -- transaction-boundary helpers (called by the machine) ------------------
 
     def _pop_queue(self) -> BusTransaction:
         """Pop the next queued transaction and begin it (IR helper)."""
@@ -637,6 +573,3 @@ class BusMaster(Module):
 
     def _begin(self, transaction: BusTransaction) -> None:
         """Called once when ``transaction`` becomes active."""
-
-    def _tick(self, transaction: BusTransaction) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError

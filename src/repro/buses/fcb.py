@@ -14,7 +14,7 @@ request; the generated adapter forwards it as the SIS ``FUNC_ID``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.buses.base import BusMaster, BusTransaction, SlaveBundle, TransactionKind
 from repro.rtl.fsm import Active, Call, Exec, Goto, If, Pulse, Schedule
@@ -70,14 +70,8 @@ class FCBMaster(BusMaster):
     #: Largest natively supported burst (quad-word, Section 2.3.2).
     MAX_BURST_WORDS = 4
 
-    def __init__(
-        self,
-        name: str,
-        slave: FCBSlaveBundle,
-        base_address: int = 0,
-        fsm_backend: Optional[str] = None,
-    ) -> None:
-        super().__init__(name, slave, fsm_backend=fsm_backend)
+    def __init__(self, name: str, slave: FCBSlaveBundle, base_address: int = 0) -> None:
+        super().__init__(name, slave)
         self.base_address = base_address  # unused; kept for interface parity
         self._phase = "idle"
         self._word_index = 0
@@ -117,8 +111,8 @@ class FCBMaster(BusMaster):
 
         The machine is parked (``Active(False)``) from each request or beat
         presentation until ACK / RESP_VALID wakes it; burst beats drop
-        DATA_VALID for one delimiting cycle between acknowledges, exactly as
-        the hand-written machine does.
+        DATA_VALID for one cycle between acknowledges so the peripheral can
+        delimit consecutive beats.
         """
         return {
             "wait_ack": (
@@ -198,52 +192,6 @@ class FCBMaster(BusMaster):
         self._active_write = is_write
         self._active_total = word_total
         self._phase = "request"
-
-    def _tick(self, transaction: BusTransaction) -> bool:
-        # Returns the wait-state-elision activity flag: False only while the
-        # request is held waiting for ACK / RESP_VALID (see PLBMaster._tick).
-        slave = self.slave
-        phase = self._phase
-        total = self._active_total
-
-        if phase == "wait_ack":
-            if self._active_write:
-                if slave.ack._value:
-                    self._word_index += 1
-                    if self._word_index < total:
-                        # Drop DATA_VALID for one cycle so the peripheral can
-                        # delimit consecutive beats of a burst.
-                        slave.data_valid.schedule(0)
-                        self._phase = "next_beat"
-                    else:
-                        self._finish(transaction)
-                    return True
-            elif slave.resp_valid._value:
-                transaction.results.append(slave.data_from_slave._value)
-                self._word_index += 1
-                if self._word_index >= total:
-                    self._finish(transaction)
-                return True
-            return False
-
-        if phase == "request":
-            # REQ strobes for one cycle (kernel-cleared pulse).
-            slave.req.pulse(1)
-            slave.is_write.schedule(1 if self._active_write else 0)
-            slave.func_sel.schedule(transaction.address)
-            slave.burst_len.schedule(min(total, self.MAX_BURST_WORDS))
-            if self._active_write:
-                slave.data_to_slave.schedule(transaction.data[0])
-                slave.data_valid.schedule(1)
-            self._phase = "wait_ack"
-            return False  # parked until ACK / RESP_VALID wakes us
-
-        if phase == "next_beat":
-            slave.data_to_slave.schedule(transaction.data[self._word_index])
-            slave.data_valid.schedule(1)
-            self._phase = "wait_ack"
-            return False  # parked until the next beat acknowledge
-        return True
 
     def _finish(self, transaction: BusTransaction) -> None:
         slave = self.slave

@@ -13,7 +13,7 @@ into SIS transactions following the signal adaptations of Section 4.3:
 from __future__ import annotations
 
 import functools
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.buses.apb import APBSlaveBundle
 from repro.buses.fcb import FCBSlaveBundle
@@ -31,7 +31,6 @@ from repro.rtl.fsm import (
     Pulse,
     Schedule,
     StateDispatch,
-    resolve_backend,
 )
 from repro.rtl.module import Module
 from repro.sis.signals import SISBundle, SISFunctionPort
@@ -39,8 +38,7 @@ from repro.sis.signals import SISBundle, SISFunctionPort
 #: Shared entry prologue of every adapter machine: native reset propagates
 #: onto the SIS (clearing the handshake strobes) and a previously asserted
 #: SIS reset is cleared one cycle after the native reset drops.  The state
-#: dispatch only runs outside reset — exactly the early return of the
-#: hand-written ticks.
+#: dispatch only runs outside reset.
 def _adapter_entry(reset_ops) -> tuple:
     return (
         If(
@@ -60,42 +58,35 @@ def _adapter_entry(reset_ops) -> tuple:
 class PLBToSIS(Module):
     """PLB (and OPB) slave-side adapter onto the SIS."""
 
-    def __init__(
-        self,
-        name: str,
-        plb: PLBSlaveBundle,
-        sis: SISBundle,
-        fsm_backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, name: str, plb: PLBSlaveBundle, sis: SISBundle) -> None:
         super().__init__(name)
         self.plb = plb
         self.sis = sis
         self._state = "idle"
+        self.fsm = BoundFsm(
+            self._fsm_spec(),
+            self,
+            signals={
+                "prst": plb.rst, "wr_req": plb.wr_req, "wr_ce": plb.wr_ce,
+                "rd_req": plb.rd_req, "rd_ce": plb.rd_ce,
+                "d2s": plb.data_to_slave, "dfs": plb.data_from_slave,
+                "wr_ack": plb.wr_ack, "rd_ack": plb.rd_ack,
+                "s_rst": sis.rst, "s_fid": sis.func_id, "s_din": sis.data_in,
+                "s_div": sis.data_in_valid, "s_ioe": sis.io_enable,
+                "s_iod": sis.io_done, "s_dov": sis.data_out_valid,
+                "s_dout": sis.data_out,
+            },
+        )
         # The full input set (native request side + the SIS completion side)
         # opts the adapter into compiled-kernel wait-state elision; the
         # machine reports activity through its return value.
-        sensitivity = [
-            plb.rst, plb.wr_req, plb.wr_ce, plb.rd_req, plb.rd_ce,
-            plb.data_to_slave, sis.io_done, sis.data_out_valid, sis.data_out,
-        ]
-        if resolve_backend(fsm_backend) == "ir":
-            self.fsm = BoundFsm(
-                self._fsm_spec(),
-                self,
-                signals={
-                    "prst": plb.rst, "wr_req": plb.wr_req, "wr_ce": plb.wr_ce,
-                    "rd_req": plb.rd_req, "rd_ce": plb.rd_ce,
-                    "d2s": plb.data_to_slave, "dfs": plb.data_from_slave,
-                    "wr_ack": plb.wr_ack, "rd_ack": plb.rd_ack,
-                    "s_rst": sis.rst, "s_fid": sis.func_id, "s_din": sis.data_in,
-                    "s_div": sis.data_in_valid, "s_ioe": sis.io_enable,
-                    "s_iod": sis.io_done, "s_dov": sis.data_out_valid,
-                    "s_dout": sis.data_out,
-                },
-            )
-            self.clocked(self.fsm.tick, sensitive_to=sensitivity)
-        else:
-            self.clocked(self._tick, sensitive_to=sensitivity)
+        self.clocked(
+            self.fsm.tick,
+            sensitive_to=[
+                plb.rst, plb.wr_req, plb.wr_ce, plb.rd_req, plb.rd_ce,
+                plb.data_to_slave, sis.io_done, sis.data_out_valid, sis.data_out,
+            ],
+        )
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -104,7 +95,10 @@ class PLBToSIS(Module):
 
         One state per handshake position; the one-hot chip enable is decoded
         inline (guards guarantee it is non-zero) and the wait states park the
-        machine (``Active(False)``) until IO_DONE wakes it.
+        machine (``Active(False)``) until IO_DONE wakes it.  IO_ENABLE /
+        WR_ACK / RD_ACK are kernel-cleared pulses, so the adapter is purely
+        reactive: apart from the reset handshake it reports quiescence on
+        every cycle and runs only when a declared input changes.
         """
         return FsmSpec(
             name="plb_to_sis",
@@ -165,57 +159,6 @@ class PLBToSIS(Module):
             ),
         )
 
-    def _tick(self) -> bool:
-        # IO_ENABLE / WR_ACK / RD_ACK are kernel-cleared pulses, so the
-        # adapter is a purely reactive FSM: every invocation either reacts to
-        # a declared input and strobes its response, or does nothing — and
-        # reports quiescence (False) either way, staying parked under the
-        # compiled kernel's wait-state elision until an input changes.
-        plb, sis = self.plb, self.sis
-
-        if plb.rst._value:
-            active = sis.rst.schedule(1)
-            active |= sis.data_in_valid.schedule(0)
-            active |= sis.func_id.schedule(0)
-            self._state = "idle"
-            return active
-        active = False
-        if sis.rst._value or sis.rst._next is not None:
-            active = sis.rst.schedule(0)
-
-        state = self._state
-        if state == "idle":
-            if plb.wr_req._value and plb.wr_ce._value:
-                slot = plb.selected_slot(write=True)
-                sis.func_id.schedule(slot)
-                sis.data_in.schedule(plb.data_to_slave._value)
-                sis.data_in_valid.schedule(1)
-                sis.io_enable.pulse(1)
-                self._state = "write_wait"
-                return False  # parked until IO_DONE
-            if plb.rd_req._value and plb.rd_ce._value:
-                slot = plb.selected_slot(write=False)
-                sis.func_id.schedule(slot)
-                sis.io_enable.pulse(1)
-                self._state = "read_wait"
-                return False  # parked until IO_DONE + DATA_OUT_VALID
-            return active
-
-        if state == "write_wait":
-            if sis.io_done._value:
-                sis.data_in_valid.schedule(0)
-                plb.wr_ack.pulse(1)
-                self._state = "idle"
-            return active
-
-        if state == "read_wait":
-            if sis.io_done._value and sis.data_out_valid._value:
-                plb.data_from_slave.schedule(sis.data_out._value)
-                plb.rd_ack.pulse(1)
-                self._state = "idle"
-            return active
-        return active
-
 
 class OPBToSIS(PLBToSIS):
     """The OPB slave port is protocol-identical to the PLB slave port."""
@@ -224,13 +167,7 @@ class OPBToSIS(PLBToSIS):
 class FCBToSIS(Module):
     """FCB slave-side adapter onto the SIS, with burst unrolling."""
 
-    def __init__(
-        self,
-        name: str,
-        fcb: FCBSlaveBundle,
-        sis: SISBundle,
-        fsm_backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, name: str, fcb: FCBSlaveBundle, sis: SISBundle) -> None:
         super().__init__(name)
         self.fcb = fcb
         self.sis = sis
@@ -238,30 +175,29 @@ class FCBToSIS(Module):
         self._remaining = 0
         self._func_id = 0
         self._is_write = False
-        sensitivity = [
-            fcb.rst, fcb.req, fcb.func_sel, fcb.is_write, fcb.burst_len,
-            fcb.data_valid, fcb.data_to_slave,
-            sis.io_done, sis.data_out_valid, sis.data_out,
-        ]
-        if resolve_backend(fsm_backend) == "ir":
-            self.fsm = BoundFsm(
-                self._fsm_spec(),
-                self,
-                signals={
-                    "prst": fcb.rst, "req": fcb.req, "func_sel": fcb.func_sel,
-                    "is_write": fcb.is_write, "burst_len": fcb.burst_len,
-                    "data_valid": fcb.data_valid, "d2s": fcb.data_to_slave,
-                    "dfs": fcb.data_from_slave, "ack": fcb.ack,
-                    "resp_valid": fcb.resp_valid,
-                    "s_rst": sis.rst, "s_fid": sis.func_id, "s_din": sis.data_in,
-                    "s_div": sis.data_in_valid, "s_ioe": sis.io_enable,
-                    "s_iod": sis.io_done, "s_dov": sis.data_out_valid,
-                    "s_dout": sis.data_out,
-                },
-            )
-            self.clocked(self.fsm.tick, sensitive_to=sensitivity)
-        else:
-            self.clocked(self._tick, sensitive_to=sensitivity)
+        self.fsm = BoundFsm(
+            self._fsm_spec(),
+            self,
+            signals={
+                "prst": fcb.rst, "req": fcb.req, "func_sel": fcb.func_sel,
+                "is_write": fcb.is_write, "burst_len": fcb.burst_len,
+                "data_valid": fcb.data_valid, "d2s": fcb.data_to_slave,
+                "dfs": fcb.data_from_slave, "ack": fcb.ack,
+                "resp_valid": fcb.resp_valid,
+                "s_rst": sis.rst, "s_fid": sis.func_id, "s_din": sis.data_in,
+                "s_div": sis.data_in_valid, "s_ioe": sis.io_enable,
+                "s_iod": sis.io_done, "s_dov": sis.data_out_valid,
+                "s_dout": sis.data_out,
+            },
+        )
+        self.clocked(
+            self.fsm.tick,
+            sensitive_to=[
+                fcb.rst, fcb.req, fcb.func_sel, fcb.is_write, fcb.burst_len,
+                fcb.data_valid, fcb.data_to_slave,
+                sis.io_done, sis.data_out_valid, sis.data_out,
+            ],
+        )
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -269,9 +205,13 @@ class FCBToSIS(Module):
         """The opcode-style FCB adapter as FSM IR, burst unrolling included.
 
         The per-beat resynchronisation cycle (``write_beat`` →
-        ``write_present``) and the inter-beat gap state are separate IR
-        states, exactly as in the hand-written machine — part of the
-        indirect-conversion cost the paper accepts for portability.
+        ``write_present``: the generic adapter re-latches FUNC_SEL and the
+        burst state for every beat) and the inter-beat gap state (the master
+        drops DATA_VALID for one cycle between beats) are separate states —
+        part of the indirect-conversion cost the paper accepts for
+        portability.  The adapter reports quiescence from every wait state
+        and runs only when a declared input changes or it is mid
+        beat-sequence (``write_present`` / ``write_ack`` / ``read_next``).
         """
         present_write = (
             Schedule("s_fid", "m._func_id"),
@@ -367,98 +307,6 @@ class FCBToSIS(Module):
             ),
         )
 
-    def _tick(self) -> bool:
-        # IO_ENABLE / ACK / RESP_VALID are kernel-cleared pulses (see
-        # PLBToSIS._tick): the adapter reports quiescence from every wait
-        # state and runs only when a declared input changes or it is mid
-        # beat-sequence (write_present / write_ack / read_next).
-        fcb, sis = self.fcb, self.sis
-
-        if fcb.rst._value:
-            active = sis.rst.schedule(1)
-            active |= sis.data_in_valid.schedule(0)
-            active |= sis.func_id.schedule(0)
-            self._state = "idle"
-            return active
-        active = False
-        if sis.rst._value or sis.rst._next is not None:
-            active = sis.rst.schedule(0)
-
-        state = self._state
-        if state == "idle":
-            if fcb.req._value:
-                self._func_id = fcb.func_sel._value
-                self._is_write = bool(fcb.is_write._value)
-                self._remaining = max(1, fcb.burst_len._value)
-                sis.func_id.schedule(self._func_id)
-                if self._is_write:
-                    self._state = "write_beat" if not fcb.data_valid._value else "write_present"
-                    return True
-                sis.io_enable.pulse(1)
-                self._state = "read_wait"
-                return False  # parked until the function answers
-            return active
-
-        if state == "write_beat":
-            if fcb.data_valid._value:
-                # One resynchronisation cycle before presenting the beat to
-                # the SIS: the generic adapter re-latches FUNC_SEL and the
-                # burst state for every beat (part of the indirect-conversion
-                # cost the paper accepts in exchange for portability).
-                self._state = "write_present"
-                return True
-            return active
-
-        if state == "write_present":
-            self._present_write()
-            return False  # parked until IO_DONE
-
-        if state == "write_wait":
-            if sis.io_done._value:
-                sis.data_in_valid.schedule(0)
-                self._state = "write_ack"
-                return True
-            return active
-
-        if state == "write_ack":
-            fcb.ack.pulse(1)
-            self._remaining -= 1
-            self._state = "write_gap" if self._remaining else "idle"
-            return active
-
-        if state == "write_gap":
-            # The master drops DATA_VALID for one cycle between beats.
-            if not fcb.data_valid._value:
-                self._state = "write_beat"
-                return True
-            return active
-
-        if state == "read_wait":
-            if sis.io_done._value and sis.data_out_valid._value:
-                fcb.data_from_slave.schedule(sis.data_out._value)
-                fcb.resp_valid.pulse(1)
-                self._remaining -= 1
-                if self._remaining:
-                    self._state = "read_next"
-                    return True
-                self._state = "idle"
-            return active
-
-        if state == "read_next":
-            sis.func_id.schedule(self._func_id)
-            sis.io_enable.pulse(1)
-            self._state = "read_wait"
-            return False  # parked until the function answers
-        return active
-
-    def _present_write(self) -> None:
-        sis = self.sis
-        sis.func_id.schedule(self._func_id)
-        sis.data_in.schedule(self.fcb.data_to_slave._value)
-        sis.data_in_valid.schedule(1)
-        sis.io_enable.pulse(1)
-        self._state = "write_wait"
-
 
 class APBToSIS(Module):
     """APB slave-side adapter onto the SIS (strictly synchronous protocol).
@@ -477,54 +325,40 @@ class APBToSIS(Module):
         sis: SISBundle,
         ports: Dict[int, SISFunctionPort],
         base_address: int,
-        fsm_backend: Optional[str] = None,
     ) -> None:
         super().__init__(name)
         self.apb = apb
         self.sis = sis
         self.ports = dict(ports)
         self.base_address = base_address
-        backend = resolve_backend(fsm_backend)
-        tick_sensitivity = [
-            apb.rst, apb.psel, apb.penable, apb.paddr, apb.pwrite, apb.pwdata
-        ]
+        consts = {"BASE": base_address, "WORDB": apb.data_width // 8}
+        signals = {
+            "prst": apb.rst, "psel": apb.psel, "penable": apb.penable,
+            "paddr": apb.paddr, "pwrite": apb.pwrite, "pwdata": apb.pwdata,
+            "s_rst": sis.rst, "s_fid": sis.func_id, "s_din": sis.data_in,
+            "s_div": sis.data_in_valid, "s_ioe": sis.io_enable,
+        }
+        self.fsm = BoundFsm(self._fsm_spec(), self, signals=signals, consts=consts)
+        self.clocked(
+            self.fsm.tick,
+            sensitive_to=[apb.rst, apb.psel, apb.penable, apb.paddr, apb.pwrite, apb.pwdata],
+        )
         # The read mux decodes PSEL/PADDR against the per-function DATA_OUT
         # registers and the CALC_DONE vector — its complete input set; it
         # only ever drives PRDATA.
         mux_sensitivity = [apb.psel, apb.paddr]
-        for port in self.ports.values():
+        mux_signals = {"psel": apb.psel, "paddr": apb.paddr, "prdata": apb.prdata}
+        for func_id, port in self.ports.items():
             mux_sensitivity += [port.data_out, port.calc_done]
-        if backend == "ir":
-            consts = {
-                "BASE": base_address,
-                "WORDB": apb.data_width // 8,
-            }
-            signals = {
-                "prst": apb.rst, "psel": apb.psel, "penable": apb.penable,
-                "paddr": apb.paddr, "pwrite": apb.pwrite, "pwdata": apb.pwdata,
-                "s_rst": sis.rst, "s_fid": sis.func_id, "s_din": sis.data_in,
-                "s_div": sis.data_in_valid, "s_ioe": sis.io_enable,
-            }
-            self.fsm = BoundFsm(
-                self._fsm_spec(), self, signals=signals, consts=consts
-            )
-            self.clocked(self.fsm.tick, sensitive_to=tick_sensitivity)
-            mux_signals = {"psel": apb.psel, "paddr": apb.paddr, "prdata": apb.prdata}
-            for func_id, port in self.ports.items():
-                mux_signals[f"p{func_id}_do"] = port.data_out
-                mux_signals[f"p{func_id}_cd"] = port.calc_done
-            self.read_mux_fsm = BoundFsm(
-                self._read_mux_spec(tuple(self.ports)), self,
-                signals=mux_signals, consts=consts,
-            )
-            self.comb(
-                self.read_mux_fsm.tick,
-                sensitive_to=mux_sensitivity,
-                drives=[apb.prdata],
-            )
-        else:
-            self.clocked(self._tick, sensitive_to=tick_sensitivity)
-            self.comb(self._read_mux, sensitive_to=mux_sensitivity, drives=[apb.prdata])
+            mux_signals[f"p{func_id}_do"] = port.data_out
+            mux_signals[f"p{func_id}_cd"] = port.calc_done
+        self.read_mux_fsm = BoundFsm(
+            self._read_mux_spec(tuple(self.ports)), self,
+            signals=mux_signals, consts=consts,
+        )
+        self.comb(
+            self.read_mux_fsm.tick, sensitive_to=mux_sensitivity, drives=[apb.prdata]
+        )
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -533,6 +367,9 @@ class APBToSIS(Module):
 
         The APB cannot insert wait states, so there are no handshake states:
         the single dispatch state forwards the committed access and parks.
+        IO_ENABLE / DATA_IN_VALID strobe for the single access cycle as
+        kernel-cleared pulses, so the machine runs only when its APB inputs
+        change.
         """
         return FsmSpec(
             name="apb_to_sis",
@@ -614,48 +451,6 @@ class APBToSIS(Module):
             consts=("BASE", "WORDB"),
             temps=("slot", "v"),
         )
-
-    def _slot(self, address: int) -> int:
-        return (address - self.base_address) // (self.apb.data_width // 8)
-
-    def _tick(self) -> bool:
-        # IO_ENABLE / DATA_IN_VALID strobe for the single access cycle and
-        # are kernel-cleared pulses, so the adapter is purely reactive: it
-        # runs only when its APB inputs change (see PLBToSIS._tick).
-        apb, sis = self.apb, self.sis
-
-        if apb.rst._value:
-            active = sis.rst.schedule(1)
-            active |= sis.func_id.schedule(0)
-            return active
-        active = False
-        if sis.rst._value or sis.rst._next is not None:
-            active = sis.rst.schedule(0)
-
-        if apb.psel._value and apb.penable._value:
-            slot = self._slot(apb.paddr._value)
-            sis.func_id.schedule(slot)
-            sis.io_enable.pulse(1)
-            if apb.pwrite._value:
-                sis.data_in.schedule(apb.pwdata._value)
-                sis.data_in_valid.pulse(1)
-            return False  # the access is committed; nothing more to do
-        return active
-
-    def _read_mux(self) -> None:
-        apb = self.apb
-        if not apb.psel.value:
-            return
-        slot = self._slot(apb.paddr.value)
-        if slot == STATUS_FUNC_ID:
-            vector = 0
-            for func_id, port in self.ports.items():
-                if port.calc_done.value:
-                    vector |= 1 << (func_id - 1)
-            apb.prdata.drive(vector)
-            return
-        port = self.ports.get(slot)
-        apb.prdata.drive(port.data_out.value if port is not None else 0)
 
 
 #: Adapter classes by bus name (used by the peripheral builder and SoC).

@@ -11,10 +11,10 @@ generated drivers poll for completion on strictly synchronous buses.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.core.params import STATUS_FUNC_ID
-from repro.rtl.fsm import BoundFsm, Drive, Exec, FsmSpec, If, resolve_backend
+from repro.rtl.fsm import BoundFsm, Drive, Exec, FsmSpec, If
 from repro.rtl.module import Module
 from repro.sis.signals import SISBundle, SISFunctionPort
 
@@ -38,11 +38,7 @@ class SISArbiter(Module):
     """Multiplexes per-function SIS ports onto the shared bundle."""
 
     def __init__(
-        self,
-        name: str,
-        sis: SISBundle,
-        ports: Iterable[SISFunctionPort],
-        fsm_backend: Optional[str] = None,
+        self, name: str, sis: SISBundle, ports: Iterable[SISFunctionPort]
     ) -> None:
         super().__init__(name)
         self.sis = sis
@@ -60,23 +56,18 @@ class SISArbiter(Module):
         for port in self.ports.values():
             sensitivity += [port.data_out, port.data_out_valid, port.io_done, port.calc_done]
         drives = [sis.calc_done, sis.data_out, sis.data_out_valid, sis.io_done]
-        if resolve_backend(fsm_backend) == "ir":
-            signals = {
-                "s_fid": sis.func_id, "s_cd": sis.calc_done,
-                "s_dout": sis.data_out, "s_dov": sis.data_out_valid,
-                "s_iod": sis.io_done,
-            }
-            for func_id, port in self.ports.items():
-                signals[f"p{func_id}_do"] = port.data_out
-                signals[f"p{func_id}_dov"] = port.data_out_valid
-                signals[f"p{func_id}_iod"] = port.io_done
-                signals[f"p{func_id}_cd"] = port.calc_done
-            self.fsm = BoundFsm(
-                self._fsm_spec(tuple(self.ports)), self, signals=signals
-            )
-            self.comb(self.fsm.tick, sensitive_to=sensitivity, drives=drives)
-        else:
-            self.comb(self._mux, sensitive_to=sensitivity, drives=drives)
+        signals = {
+            "s_fid": sis.func_id, "s_cd": sis.calc_done,
+            "s_dout": sis.data_out, "s_dov": sis.data_out_valid,
+            "s_iod": sis.io_done,
+        }
+        for func_id, port in self.ports.items():
+            signals[f"p{func_id}_do"] = port.data_out
+            signals[f"p{func_id}_dov"] = port.data_out_valid
+            signals[f"p{func_id}_iod"] = port.io_done
+            signals[f"p{func_id}_cd"] = port.calc_done
+        self.fsm = BoundFsm(self._fsm_spec(tuple(self.ports)), self, signals=signals)
+        self.comb(self.fsm.tick, sensitive_to=sensitivity, drives=drives)
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -109,6 +100,7 @@ class SISArbiter(Module):
         entry.append(Exec("sel = s_fid._value"))
         entry.append(
             If(
+                # The status register is always readable and never busy.
                 f"sel == {STATUS_FUNC_ID}",
                 (
                     Drive("s_dout", "v"),
@@ -130,36 +122,3 @@ class SISArbiter(Module):
             signals=tuple(signals),
             temps=("v", "sel"),
         )
-
-    # -- combinational multiplexing ------------------------------------------------
-
-    def status_vector(self) -> int:
-        """The amalgamated CALC_DONE vector (bit ``func_id - 1`` per function)."""
-        vector = 0
-        for func_id, port in self.ports.items():
-            if port.calc_done.value:
-                vector |= 1 << (func_id - 1)
-        return vector
-
-    def _mux(self) -> None:
-        sis = self.sis
-        vector = self.status_vector()
-        sis.calc_done.drive(vector)
-
-        selected = sis.func_id.value
-        if selected == STATUS_FUNC_ID:
-            # The status register is always readable and never busy.
-            sis.data_out.drive(vector)
-            sis.data_out_valid.drive(1)
-            sis.io_done.drive(1)
-            return
-
-        port = self.ports.get(selected)
-        if port is None:
-            sis.data_out.drive(0)
-            sis.data_out_valid.drive(0)
-            sis.io_done.drive(0)
-            return
-        sis.data_out.drive(port.data_out.value)
-        sis.data_out_valid.drive(port.data_out_valid.value)
-        sis.io_done.drive(port.io_done.value)

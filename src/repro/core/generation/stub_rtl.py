@@ -25,7 +25,6 @@ from repro.rtl.fsm import (
     Schedule,
     Sleep,
     StateDispatch,
-    resolve_backend,
 )
 from repro.rtl.module import Module
 from repro.rtl.signal import mask_for_width
@@ -56,7 +55,6 @@ class FunctionStub(Module):
         calc_latency: int = 1,
         strictly_synchronous: bool = False,
         instance_index: int = 0,
-        fsm_backend: Optional[str] = None,
     ) -> None:
         suffix = f"_{instance_index}" if func.nmbr_instances > 1 else ""
         super().__init__(f"func_{func.func_name}{suffix}")
@@ -90,40 +88,39 @@ class FunctionStub(Module):
         #: Number of completed activations (useful for tests and examples).
         self.activations = 0
 
+        self.fsm = BoundFsm(
+            self._fsm_spec(),
+            self,
+            signals={
+                "s_rst": sis.rst, "s_ioe": sis.io_enable,
+                "s_fid": sis.func_id, "s_din": sis.data_in,
+                "s_div": sis.data_in_valid,
+                "p_cd": port.calc_done, "p_do": port.data_out,
+                "p_dov": port.data_out_valid, "p_iod": port.io_done,
+            },
+            helpers={
+                "h_reset_full": self._reset_full,
+                "h_reset_soft": self._reset_soft,
+                "h_finish_input": self._finish_input,
+                "h_enter_calc": self._enter_calc,
+                "h_run_calc": self._run_calc,
+            },
+            consts={"MYID": self.my_func_id},
+        )
         # Declaring the ICOB's complete SIS-side input set opts it into the
         # compiled kernel's wait-state elision: an idle stub (sitting in an
         # input/trigger/output wait state with stable inputs) is skipped
         # entirely, and the machine's return value reports when it must keep
         # running regardless (mid-calculation, strobes to deassert, ...).
-        sensitivity = [sis.rst, sis.io_enable, sis.func_id, sis.data_in, sis.data_in_valid]
-        if resolve_backend(fsm_backend) == "ir":
-            self.fsm = BoundFsm(
-                self._fsm_spec(),
-                self,
-                signals={
-                    "s_rst": sis.rst, "s_ioe": sis.io_enable,
-                    "s_fid": sis.func_id, "s_din": sis.data_in,
-                    "s_div": sis.data_in_valid,
-                    "p_cd": port.calc_done, "p_do": port.data_out,
-                    "p_dov": port.data_out_valid, "p_iod": port.io_done,
-                },
-                helpers={
-                    "h_reset_full": self._reset_full,
-                    "h_reset_soft": self._reset_soft,
-                    "h_finish_input": self._finish_input,
-                    "h_enter_calc": self._enter_calc,
-                    "h_run_calc": self._run_calc,
-                },
-                consts={"MYID": self.my_func_id},
-            )
-            self.clocked(self.fsm.tick, sensitive_to=sensitivity)
-        else:
-            self.clocked(self._icob, sensitive_to=sensitivity)
+        self.clocked(
+            self.fsm.tick,
+            sensitive_to=[sis.rst, sis.io_enable, sis.func_id, sis.data_in, sis.data_in_valid],
+        )
 
     # -- the ICOB as FSM IR ---------------------------------------------------
 
     def _fsm_spec(self) -> FsmSpec:
-        """The ICOB as FSM IR: this stub's declared states, transliterated."""
+        """The ICOB as FSM IR over this stub's declared states."""
         return self._fsm_spec_for(tuple(self._states), self.strictly_synchronous)
 
     @staticmethod
@@ -135,9 +132,13 @@ class FunctionStub(Module):
         cached in ``_state_beats`` by ``_enter_state``); the calculation
         countdown is a :class:`Sleep` park expressed against the simulator
         cycle; the boundary work — beat reassembly, the user behaviour call,
-        activation resets — stays in the retained helpers.  States are
-        entered both by IR transitions and by the helpers
+        activation resets — stays in Python helpers.  States are entered
+        both by IR transitions and by the helpers
         (``_enter_state``/``_enter_calc``), so all are declared external.
+        The machine's return value is the wait-state-elision activity flag:
+        true whenever re-running next cycle with unchanged inputs would not
+        be a no-op.  IO_DONE and the pseudo-asynchronous DATA_OUT_VALID are
+        kernel-cleared pulses, so no deassert pass is needed.
         """
         entry: List[object] = []
         if strict:
@@ -293,11 +294,6 @@ class FunctionStub(Module):
 
     # -- helpers -----------------------------------------------------------------
 
-    def _current_input(self) -> Optional[IOParams]:
-        if self._state.startswith("IN_"):
-            return self.func.input(self._state[3:])
-        return None
-
     def _enter_state(self, state: str) -> None:
         """Transition to ``state``, refreshing the per-state caches."""
         self._state = state
@@ -386,74 +382,10 @@ class FunctionStub(Module):
                 words.append((value >> (offset * bus_width)) & bus_mask)
         return words or [0]
 
-    # -- the ICOB process ----------------------------------------------------------
-
-    def _icob(self) -> bool:
-        # This process runs for every stub on every cycle (unless elided by
-        # the compiled kernel), so the idle path reads signal slots directly
-        # (``_value``/``_next``) instead of going through property dispatch,
-        # and only deasserts strobes that are actually high or pending —
-        # semantically identical, much cheaper.  The return value is the
-        # wait-state-elision activity flag: truthy whenever re-running next
-        # cycle with unchanged inputs would *not* be a no-op.
-        sis = self.sis
-        port = self.port
-        state = self._state
-        active = False
-
-        # IO_DONE (and pseudo-asynchronous DATA_OUT_VALID) strobes are
-        # kernel-cleared pulses, so no deassert pass is needed here.  The one
-        # remaining case is the strictly synchronous *held* DATA_OUT_VALID,
-        # which must drop when the ICOB leaves its output state abnormally
-        # (reset mid-read) — the output state itself clears it on completion.
-        if self.strictly_synchronous and state not in ("OUT_RESULT", "OUT_STATUS"):
-            data_out_valid = port.data_out_valid
-            if data_out_valid._value or data_out_valid._next is not None:
-                data_out_valid.next = 0
-                active = True
-
-        if sis.rst._value:
-            self._reset_activation(full=True)
-            active |= port.calc_done.schedule(0)
-            return active
-
-        if sis.io_enable._value and sis.func_id._value == self.my_func_id:
-            new_request = True
-            write_beat = bool(sis.data_in_valid._value)
-            if not write_beat:
-                self._pending_read = True
-            active = True
-        else:
-            new_request = False
-            write_beat = False
-
-        if self._state_io is not None:
-            if self._handle_input_state(write_beat):
-                active = True
-        elif state == "TRIGGER":
-            if self._handle_trigger_state(new_request, write_beat):
-                active = True
-        elif state == "CALC":
-            if self._handle_calc_state():
-                active = True
-        elif state in ("OUT_RESULT", "OUT_STATUS"):
-            if self._handle_output_state():
-                active = True
-        return active
-
-    # -- per-state handlers -------------------------------------------------------
-
-    def _handle_input_state(self, write_beat: bool) -> bool:
-        if not write_beat:
-            return False
-        self._beat_buffer.append(self.sis.data_in._value)
-        self.port.io_done.pulse(1)
-        if len(self._beat_buffer) >= self._state_beats:
-            self._finish_input()
-        return True
+    # -- machine helpers -----------------------------------------------------------
 
     def _finish_input(self) -> None:
-        """Reassemble the completed input and advance (shared IR helper)."""
+        """Reassemble the completed input and advance (IR helper)."""
         io = self._state_io
         self._captured[io.io_name] = self._assemble_input(io, self._beat_buffer)
         self._beat_buffer = []
@@ -477,14 +409,6 @@ class FunctionStub(Module):
             self._enter_state(nxt)
             following = self._state_io
 
-    def _handle_trigger_state(self, new_request: bool, write_beat: bool) -> bool:
-        if not new_request:
-            return False
-        if write_beat:
-            self.port.io_done.pulse(1)
-        self._enter_calc()
-        return True
-
     def _enter_calc(self) -> None:
         self._state = "CALC"
         self._state_io = None
@@ -494,22 +418,9 @@ class FunctionStub(Module):
         sim = self._simulator
         self._calc_until = (sim.cycle if sim is not None else 0) + self.calc_latency
 
-    def _handle_calc_state(self) -> bool:
-        sim = self._simulator
-        now = sim.cycle if sim is not None else self._calc_until
-        if now < self._calc_until:
-            remaining = self._calc_until - now
-            if remaining > 1 and sim is not None and sim.timed_wakes:
-                sim.wake_after(self._icob, remaining)
-                return False
-            return True
-        self._run_calc()
-        return True
-
     def _run_calc(self) -> None:
-        """Invoke the user behaviour and enter the output stage (shared
-        between the retained Python path and the FSM IR, whose CALC state
-        expresses only the countdown)."""
+        """Invoke the user behaviour and enter the output stage (IR helper:
+        the machine's CALC state expresses only the countdown)."""
         result = self.behavior(**{name: value for name, value in self._captured.items()})
         self.activations += 1
         self._output_words = self._build_output_words(result)
@@ -525,34 +436,6 @@ class FunctionStub(Module):
             # return to their first input state.
             self.port.calc_done.next = 1
             self._reset_activation(full=False)
-
-    def _handle_output_state(self) -> bool:
-        # The steady wait-for-read state re-asserts its outputs through
-        # Signal.schedule so a cycle that schedules nothing reports quiescence.
-        port = self.port
-        active = port.calc_done.schedule(1)
-        if self.strictly_synchronous:
-            active |= port.data_out.schedule(self._output_words[self._out_index])
-            active |= port.data_out_valid.schedule(1)
-        if not self._pending_read:
-            return active
-        self._pending_read = False
-        word = self._output_words[self._out_index]
-        port.data_out.next = word
-        if self.strictly_synchronous:
-            port.data_out_valid.next = 1
-        else:
-            # Pseudo-asynchronous read: DATA_OUT_VALID rises with IO_DONE for
-            # exactly one cycle (Figure 4.3) — both kernel-cleared pulses.
-            port.data_out_valid.pulse(1)
-        port.io_done.pulse(1)
-        self._out_index += 1
-        if self._out_index >= len(self._output_words):
-            port.calc_done.next = 0
-            if self.strictly_synchronous:
-                port.data_out_valid.next = 0
-            self._reset_activation(full=False)
-        return True
 
     # -- lifecycle -----------------------------------------------------------------
 

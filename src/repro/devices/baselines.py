@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.buses.base import BusTransaction, TransactionKind, TransactionOp
 from repro.buses.fcb import FCBMaster, FCBSlaveBundle
@@ -42,7 +42,6 @@ from repro.rtl.fsm import (
     Pulse,
     Schedule,
     StateDispatch,
-    resolve_backend,
 )
 from repro.rtl.module import Module
 from repro.rtl.simulator import Simulator
@@ -61,7 +60,7 @@ _NUM_SLOTS = 8
 
 def _complete_interpolation(device) -> None:
     """Finish a baseline's calculation: both hand-coded devices share the
-    identical completion bookkeeping (shared by both FSM backends too)."""
+    identical completion bookkeeping."""
     device.result = interpolate_fixed_point(
         device.sets[SLOT_SET1], device.sets[SLOT_SET2], device.sets[SLOT_SET3]
     )
@@ -84,7 +83,6 @@ class NaivePLBInterpolator(Module):
         name: str,
         plb: PLBSlaveBundle,
         calc_latency: int = CALCULATION_LATENCY,
-        fsm_backend: Optional[str] = None,
     ) -> None:
         super().__init__(name)
         self.plb = plb
@@ -100,35 +98,34 @@ class NaivePLBInterpolator(Module):
         self._pending_slot = 0
         self._pending_data = 0
         self.activations = 0
-        sensitivity = [
-            plb.rst, plb.wr_req, plb.wr_ce, plb.rd_req, plb.rd_ce, plb.data_to_slave,
-        ]
-        if resolve_backend(fsm_backend) == "ir":
-            self.fsm = BoundFsm(
-                self._fsm_spec(),
-                self,
-                signals={
-                    "prst": plb.rst, "wr_req": plb.wr_req, "wr_ce": plb.wr_ce,
-                    "rd_req": plb.rd_req, "rd_ce": plb.rd_ce,
-                    "d2s": plb.data_to_slave, "dfs": plb.data_from_slave,
-                    "wr_ack": plb.wr_ack, "rd_ack": plb.rd_ack,
-                },
-                helpers={
-                    "h_reset_state": self._reset_state,
-                    "h_finish_calc": self._finish_calc,
-                    "h_store_word": self._store_word,
-                    "h_clear_inputs": self._clear_inputs,
-                },
-                consts={
-                    "WWAIT": self.WRITE_WAIT_STATES,
-                    "RWAIT": self.READ_WAIT_STATES,
-                    "STATUS": SLOT_STATUS,
-                    "RESULT": SLOT_RESULT,
-                },
-            )
-            self.clocked(self.fsm.tick, sensitive_to=sensitivity)
-        else:
-            self.clocked(self._tick, sensitive_to=sensitivity)
+        self.fsm = BoundFsm(
+            self._fsm_spec(),
+            self,
+            signals={
+                "prst": plb.rst, "wr_req": plb.wr_req, "wr_ce": plb.wr_ce,
+                "rd_req": plb.rd_req, "rd_ce": plb.rd_ce,
+                "d2s": plb.data_to_slave, "dfs": plb.data_from_slave,
+                "wr_ack": plb.wr_ack, "rd_ack": plb.rd_ack,
+            },
+            helpers={
+                "h_reset_state": self._reset_state,
+                "h_finish_calc": self._finish_calc,
+                "h_store_word": self._store_word,
+                "h_clear_inputs": self._clear_inputs,
+            },
+            consts={
+                "WWAIT": self.WRITE_WAIT_STATES,
+                "RWAIT": self.READ_WAIT_STATES,
+                "STATUS": SLOT_STATUS,
+                "RESULT": SLOT_RESULT,
+            },
+        )
+        self.clocked(
+            self.fsm.tick,
+            sensitive_to=[
+                plb.rst, plb.wr_req, plb.wr_ce, plb.rd_req, plb.rd_ce, plb.data_to_slave,
+            ],
+        )
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -136,10 +133,9 @@ class NaivePLBInterpolator(Module):
         """The first-attempt hand-coded slave as FSM IR.
 
         The calculation countdown is an entry overlay (it runs regardless of
-        the bus state, as in the hand-written tick); the decode wait states
-        count down a cycle at a time — deliberately *not* a timed-wake park,
-        because modelling the naïve design's always-busy decode FSM is the
-        point of this baseline.
+        the bus state); the decode wait states count down a cycle at a
+        time — deliberately *not* a timed-wake park, because modelling the
+        naïve design's always-busy decode FSM is the point of this baseline.
         """
         return FsmSpec(
             name="naive_plb_interp",
@@ -256,69 +252,6 @@ class NaivePLBInterpolator(Module):
     def _finish_calc(self) -> None:
         _complete_interpolation(self)
 
-    def _tick(self) -> bool:
-        plb = self.plb
-        # ACK strobes are kernel-cleared pulses; no deassert pass needed.
-        active = False
-
-        if plb.rst.value:
-            self._reset_state()
-            return active
-
-        if self._calculating:
-            self._calc_counter += 1
-            if self._calc_counter >= self.calc_latency:
-                self._finish_calc()
-            active = True
-
-        if self._state == "idle":
-            if plb.wr_req.value and plb.wr_ce.value:
-                self._pending_slot = plb.selected_slot(write=True)
-                self._pending_data = plb.data_to_slave.value
-                self._state = "write_decode"
-                self._delay = self.WRITE_WAIT_STATES
-                return True
-            if plb.rd_req.value and plb.rd_ce.value:
-                self._pending_slot = plb.selected_slot(write=False)
-                self._state = "read_decode"
-                self._delay = self.READ_WAIT_STATES
-                return True
-            return active
-
-        # Decode/wait states count down or respond every cycle regardless of
-        # input changes, so they always report activity.
-        if self._state == "write_decode":
-            if self._delay > 0:
-                self._delay -= 1
-                return True
-            self._store_word(self._pending_slot, self._pending_data)
-            plb.wr_ack.pulse(1)
-            self._state = "idle"
-            return True
-
-        if self._state == "read_decode":
-            if self._delay > 0:
-                self._delay -= 1
-                return True
-            if self._pending_slot == SLOT_STATUS:
-                plb.data_from_slave.next = 1 if self.calc_done else 0
-                plb.rd_ack.pulse(1)
-                self._state = "idle"
-            elif self._pending_slot == SLOT_RESULT:
-                if self.calc_done:
-                    plb.data_from_slave.next = self.result & 0xFFFFFFFF
-                    plb.rd_ack.pulse(1)
-                    self.calc_done = False
-                    self._clear_inputs()
-                    self._state = "idle"
-                # otherwise: hold the bus (pseudo-asynchronous wait).
-            else:
-                plb.data_from_slave.next = 0
-                plb.rd_ack.pulse(1)
-                self._state = "idle"
-            return True
-        return active
-
     # -- helpers ---------------------------------------------------------------
 
     def _store_word(self, slot: int, word: int) -> None:
@@ -365,7 +298,6 @@ class OptimizedFCBInterpolator(Module):
         name: str,
         fcb: FCBSlaveBundle,
         calc_latency: int = CALCULATION_LATENCY,
-        fsm_backend: Optional[str] = None,
     ) -> None:
         super().__init__(name)
         self.fcb = fcb
@@ -381,31 +313,30 @@ class OptimizedFCBInterpolator(Module):
         self._beat_seen = True
         self._decode_wait = 0
         self.activations = 0
-        sensitivity = [
-            fcb.rst, fcb.req, fcb.func_sel, fcb.is_write,
-            fcb.data_valid, fcb.data_to_slave,
-        ]
-        if resolve_backend(fsm_backend) == "ir":
-            self.fsm = BoundFsm(
-                self._fsm_spec(),
-                self,
-                signals={
-                    "prst": fcb.rst, "req": fcb.req, "func_sel": fcb.func_sel,
-                    "is_write": fcb.is_write, "data_valid": fcb.data_valid,
-                    "d2s": fcb.data_to_slave, "dfs": fcb.data_from_slave,
-                    "ack": fcb.ack, "resp_valid": fcb.resp_valid,
-                },
-                helpers={
-                    "h_reset_state": self._reset_state,
-                    "h_finish_calc": self._finish_calc,
-                    "h_store_word": self._store_word,
-                    "h_clear_inputs": self._clear_inputs,
-                },
-                consts={"RESULT": SLOT_RESULT},
-            )
-            self.clocked(self.fsm.tick, sensitive_to=sensitivity)
-        else:
-            self.clocked(self._tick, sensitive_to=sensitivity)
+        self.fsm = BoundFsm(
+            self._fsm_spec(),
+            self,
+            signals={
+                "prst": fcb.rst, "req": fcb.req, "func_sel": fcb.func_sel,
+                "is_write": fcb.is_write, "data_valid": fcb.data_valid,
+                "d2s": fcb.data_to_slave, "dfs": fcb.data_from_slave,
+                "ack": fcb.ack, "resp_valid": fcb.resp_valid,
+            },
+            helpers={
+                "h_reset_state": self._reset_state,
+                "h_finish_calc": self._finish_calc,
+                "h_store_word": self._store_word,
+                "h_clear_inputs": self._clear_inputs,
+            },
+            consts={"RESULT": SLOT_RESULT},
+        )
+        self.clocked(
+            self.fsm.tick,
+            sensitive_to=[
+                fcb.rst, fcb.req, fcb.func_sel, fcb.is_write,
+                fcb.data_valid, fcb.data_to_slave,
+            ],
+        )
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -454,7 +385,9 @@ class OptimizedFCBInterpolator(Module):
                         "m._is_write",
                         (
                             # Register the beat, decode the target set, ack
-                            # two cycles later — fast, but not free.
+                            # two cycles later — fast, but not free, because
+                            # the operand registers sit behind a write
+                            # decoder.
                             If(
                                 "data_valid._value and not m._beat_seen",
                                 (
@@ -525,59 +458,6 @@ class OptimizedFCBInterpolator(Module):
 
     def _finish_calc(self) -> None:
         _complete_interpolation(self)
-
-    def _tick(self) -> bool:
-        fcb = self.fcb
-        # ACK / RESP_VALID strobes are kernel-cleared pulses.
-        active = False
-
-        if fcb.rst.value:
-            self._reset_state()
-            return active
-
-        if self._calculating:
-            self._calc_counter += 1
-            if self._calc_counter >= self.calc_latency:
-                self._finish_calc()
-            active = True
-
-        if fcb.req.value:
-            self._target_slot = fcb.func_sel.value
-            self._is_write = bool(fcb.is_write.value)
-            self._beat_seen = False
-            active = True
-
-        if self._is_write:
-            # The hand-tuned design registers the incoming beat, decodes the
-            # target set, and acknowledges two cycles later — fast, but not
-            # free, because the operand registers sit behind a write decoder.
-            if fcb.data_valid.value and not self._beat_seen:
-                if self._decode_wait < 3:
-                    self._decode_wait += 1
-                    return True
-                self._decode_wait = 0
-                self._store_word(self._target_slot, fcb.data_to_slave.value)
-                fcb.ack.pulse(1)
-                self._beat_seen = True
-                return True
-            if not fcb.data_valid.value:
-                self._beat_seen = False  # idempotent while the bus is quiet
-        else:
-            if self._target_slot and not self._beat_seen:
-                if self._target_slot == SLOT_RESULT and not self.calc_done:
-                    # Hold the co-processor port until the result is ready;
-                    # the calculation countdown above keeps us active.
-                    return True
-                if self._target_slot == SLOT_RESULT:
-                    fcb.data_from_slave.next = self.result & 0xFFFFFFFF
-                    self.calc_done = False
-                    self._clear_inputs()
-                else:
-                    fcb.data_from_slave.next = 1 if self.calc_done else 0
-                fcb.resp_valid.pulse(1)
-                self._beat_seen = True
-                return True
-        return active
 
     def _store_word(self, slot: int, word: int) -> None:
         if slot not in self.sets:

@@ -33,14 +33,11 @@ from repro.rtl.compile import (
 )
 from repro.rtl.module import Module
 from repro.rtl.fsm import (
-    FSM,
     BoundFsm,
     FsmError,
     FsmSpec,
-    current_backend,
     detect_drive_conflicts,
     fsm_ir_fingerprint,
-    use_backend,
 )
 from repro.rtl.trace import Trace, TraceRecorder
 
@@ -86,14 +83,11 @@ __all__ = [
     "SimulatorStats",
     "SimulationError",
     "Module",
-    "FSM",
     "BoundFsm",
     "FsmError",
     "FsmSpec",
-    "current_backend",
     "detect_drive_conflicts",
     "fsm_ir_fingerprint",
-    "use_backend",
     "Trace",
     "TraceRecorder",
     "KERNELS",

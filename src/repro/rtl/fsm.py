@@ -16,9 +16,9 @@ updates, timed-wake parks — and the description has two backends:
 * a **standalone tick** (:meth:`BoundFsm.tick`): a per-machine function
   generated from the IR at bind time (bindings in closure cells, integer
   state register synchronised with the owner's state attribute per tick).
-  It is the drop-in replacement for the hand-written ``tick()`` methods
-  and is what the scan kernels (event-driven and reference) register as
-  the clocked process — IR execution without per-op dispatch cost; and
+  It is what every machine registers as its process, and what the scan
+  kernels (event-driven and reference) call — IR execution without per-op
+  dispatch cost; and
 * a **lowered backend** (:meth:`BoundFsm.emit_compiled_clocked` /
   :meth:`BoundFsm.emit_compiled_comb`): a code generator the
   :class:`~repro.rtl.compile.CompiledSimulator` calls at elaboration freeze
@@ -29,10 +29,11 @@ updates, timed-wake parks — and the description has two backends:
 The standalone tick and the inlined body come from the *same* emitter, so
 they cannot drift apart; the tree-walker is an independent implementation.
 ``tests/test_kernel_equivalence.py`` proves standalone and lowered
-execution cycle-exact against each other (and against the retained
-hand-written Python ticks, which stay available as the ``"python"``
-backend) on the full paper grid; ``tests/test_fsm_ir.py`` proves the
-interpreter equivalent to both on randomized machines.
+execution cycle-exact against each other on the full paper grid;
+``tests/test_fsm_ir.py`` proves the interpreter equivalent to both on
+randomized machines and on every machine of the paper grid (four Splice
+buses plus both hand-coded baselines, with and without a native bus
+reset).
 
 The IR
 ------
@@ -82,7 +83,6 @@ not once per elaboration freeze.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -93,44 +93,6 @@ from repro.rtl.signal import Signal, schedule_zero
 
 class FsmError(ValueError):
     """Raised for malformed FSM IR (bad transitions, invalid ops, ...)."""
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-#: Backends: ``"ir"`` registers the interpreted IR tick (and lets the
-#: compiled kernel lower the machine inline); ``"python"`` registers the
-#: retained hand-written tick method — the differential-testing path and an
-#: escape hatch for scan-kernel-heavy workloads.
-BACKENDS = ("ir", "python")
-
-_backend_stack: List[str] = ["ir"]
-
-
-def current_backend() -> str:
-    """The FSM backend newly constructed machines will use."""
-    return _backend_stack[-1]
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Normalise a constructor's ``fsm_backend`` argument."""
-    name = backend if backend is not None else current_backend()
-    if name not in BACKENDS:
-        raise FsmError(f"unknown FSM backend {name!r} (known: {BACKENDS})")
-    return name
-
-
-@contextmanager
-def use_backend(backend: str):
-    """Temporarily switch the default FSM backend (tests, profiling)."""
-    if backend not in BACKENDS:
-        raise FsmError(f"unknown FSM backend {backend!r} (known: {BACKENDS})")
-    _backend_stack.append(backend)
-    try:
-        yield
-    finally:
-        _backend_stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +212,9 @@ class Call(Op):
 @dataclass(frozen=True)
 class Sleep(Op):
     """Park a pure countdown: on kernels with timed wakes, book a wake in
-    ``delta`` cycles and report quiescence; on scan kernels stay active.
-    Mirrors ``BusMaster._sleep_until`` exactly."""
+    ``delta`` cycles and report quiescence; on scan kernels, or when the
+    target is the next cycle anyway, stay active.  Scan kernels run the
+    machine every cycle, so the countdown must re-check its target."""
 
     delta: str
 
@@ -521,12 +484,14 @@ _CTRL_NONE, _CTRL_REDISPATCH = 0, 1
 class BoundFsm:
     """An :class:`FsmSpec` bound to its owner module, signals and helpers.
 
-    ``tick`` is the interpreted backend — register it as the clocked
-    process (``module.clocked(fsm.tick, sensitive_to=[...])``) exactly like
-    a hand-written tick method; its return value is the wait-state-elision
+    ``tick`` is the standalone tick generated from the IR — register it as
+    the machine's process (``module.clocked(fsm.tick, sensitive_to=[...])``
+    or ``module.comb(...)``); a clocked tick returns the wait-state-elision
     activity flag.  The compiled kernel recognises the bound machine via the
     ``emit_compiled_clocked`` / ``emit_compiled_comb`` hooks and inlines the
-    lowered form instead of calling ``tick`` at all.
+    lowered form instead of calling ``tick`` at all.  ``tick_interpreted``
+    is the tree-walking interpreter over the same IR, the oracle the tests
+    register in place of ``tick``.
     """
 
     def __init__(
@@ -727,8 +692,9 @@ class BoundFsm:
 
         The tree-walking oracle: op-by-op execution over the IR data with no
         code generation involved.  Drop-in compatible with :attr:`tick`;
-        used by the randomized equivalence tests to pin down the semantics
-        the generated forms must reproduce.
+        the equivalence tests (randomized machines and the paper grid)
+        register it to pin down the semantics the generated forms must
+        reproduce.
         """
         if self._entry_prog is None:
             self._entry_prog = self._compile_ops(self.spec.entry)
@@ -1181,67 +1147,3 @@ class BoundFsm:
             "label": self.profile_label,
             "fingerprint": self.spec.fingerprint(),
         }
-
-
-# ---------------------------------------------------------------------------
-# the original two-signal state helper (kept verbatim for generated stubs)
-# ---------------------------------------------------------------------------
-
-
-class FSM:
-    """A named-state machine backed by a pair of signals.
-
-    This is the original minimal helper (state/next_state signal pair) used
-    by tests and examples; the lowerable IR above is the machine *compiler*.
-
-    Parameters
-    ----------
-    name:
-        Prefix for the underlying signals.
-    states:
-        Ordered state names; the first is the reset state.
-    """
-
-    def __init__(self, name: str, states: Iterable[str]) -> None:
-        self.name = name
-        self.states: List[str] = list(states)
-        if not self.states:
-            raise ValueError("FSM requires at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise ValueError(f"duplicate state names in FSM {name!r}")
-        self._index: Dict[str, int] = {s: i for i, s in enumerate(self.states)}
-        width = max(1, (len(self.states) - 1).bit_length())
-        self.state_signal = Signal(f"{name}.state", width=width, reset=0)
-        self.next_signal = Signal(f"{name}.next_state", width=width, reset=0)
-
-    # -- queries ---------------------------------------------------------------
-
-    @property
-    def state(self) -> str:
-        """Name of the current state."""
-        return self.states[self.state_signal.value]
-
-    def is_in(self, state: str) -> bool:
-        """True when the FSM is currently in ``state``."""
-        return self.state_signal.value == self.encode(state)
-
-    def encode(self, state: str) -> int:
-        """Return the numeric encoding of ``state``."""
-        try:
-            return self._index[state]
-        except KeyError:
-            raise KeyError(f"unknown state {state!r} for FSM {self.name!r}") from None
-
-    # -- transitions --------------------------------------------------------
-
-    def request(self, state: str) -> None:
-        """Request a transition to ``state`` (takes effect on the next edge)."""
-        self.next_signal.next = self.encode(state)
-        self.state_signal.next = self.encode(state)
-
-    def hold(self) -> None:
-        """Explicitly remain in the current state (no-op, for readability)."""
-
-    def signals(self) -> List[Signal]:
-        """Signals that must be registered with the simulator."""
-        return [self.state_signal, self.next_signal]

@@ -6,10 +6,12 @@ standalone generated tick (:attr:`BoundFsm.tick`, the scan-kernel backend)
 and the compiled-kernel lowering (inlined into the fused step loop).  The
 randomized tests here prove all three produce identical signal traces and
 identical machine state on machines the generator dreams up; the
-full-system tests prove the IR ports of the in-tree machines cycle-exact
-against the retained hand-written Python ticks (``fsm_backend="python"``).
-The lowering memo is checked against fresh emission on the paper grid.
+full-system tests prove every machine of the paper grid cycle-exact against
+the interpreter, with and without a native bus reset.  The lowering memo is
+checked against fresh emission on the paper grid.
 """
+
+from contextlib import contextmanager
 
 import pytest
 
@@ -24,7 +26,6 @@ from repro.rtl import (
     Simulator,
     TraceRecorder,
     detect_drive_conflicts,
-    use_backend,
 )
 from repro.rtl.fsm import (
     LOWERED_MEMO_SIZE,
@@ -308,6 +309,10 @@ class TestLoweringMemo:
         machines = _lowered_machines(sim)
         assert machines
         assert len(machines) == design.fused_clocked + design.fused_comb
+        # Every process of the paper grid is a machine, and every machine is
+        # lowered: one left as a plain call would only show as lost speed.
+        assert design.fused_clocked == len(sim._clocked_decls)
+        assert design.fused_comb == len(sim._comb_decls)
         for prefix, machine in machines:
             served = machine.spec._lowered.get(
                 machine._lowered_key(prefix),
@@ -347,67 +352,136 @@ class TestLoweringMemo:
         assert len(spec._lowered) == LOWERED_MEMO_SIZE
 
 
-def _run_scenario_trace(build, kernel_factory):
+@contextmanager
+def _interpreted_machines():
+    """Build systems whose machines run the IR's tree-walking interpreter.
+
+    Every process registered as a :attr:`BoundFsm.tick` is registered as
+    its :meth:`BoundFsm.tick_interpreted` instead.  The scan kernels then
+    call the interpreter, and the compiled kernel keeps it as a plain call
+    (it lowers only a machine's canonical ``tick``).
+    """
+
+    def registering_interpreter(register):
+        def patched(self, process, *args, **kwargs):
+            owner = getattr(process, "__self__", None)
+            if isinstance(owner, BoundFsm) and process is owner.tick:
+                process = owner.tick_interpreted
+            return register(self, process, *args, **kwargs)
+
+        return patched
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Module, "clocked", registering_interpreter(Module.clocked))
+        patch.setattr(Module, "comb", registering_interpreter(Module.comb))
+        yield
+
+
+class _ResetPulse(Module):
+    """Testbench stimulus: hold a native bus ``RST`` high for one cycle."""
+
+    def __init__(self, rst, cycle: int) -> None:
+        super().__init__("reset_pulse")
+        self.rst = rst
+        self.at = cycle
+        self.clocked(self._tick)
+
+    def _tick(self) -> None:
+        cycle = self._simulator.cycle
+        if cycle == self.at:
+            self.rst.schedule(1)
+        elif cycle == self.at + 1:
+            self.rst.schedule(0)
+
+
+#: Scenario-relative cycle of the reset pulse: inside every paper-grid
+#: scenario (the shortest, optimized_fcb, takes 108 cycles).
+_RESET_CYCLE = 60
+#: A reset (or a diverging machine) wedges a system until the processor
+#: gives up.  These bounds keep that short: a 40-cycle budget per bus
+#: operation, and 20 status polls instead of 10,000 for the APB driver.
+#: A clean scenario-2 run uses under half of that cycle budget.
+_TIMEOUT = 40
+_POLL_LIMIT = 20
+
+
+def _run_scenario_trace(build, kernel_factory, reset=False):
     built = build(kernel_factory)
-    system = getattr(built, "system", None)
-    simulator = getattr(built, "simulator", None) or system.simulator
+    # A Splice runner wraps its SoC system; a baseline is its own system.
+    system = getattr(built, "system", built)
+    simulator, processor = system.simulator, system.processor
+    processor.timeout = _TIMEOUT
+    drivers = getattr(system, "drivers", None)
+    if drivers is not None:
+        drivers["interpolate"].poll_limit = _POLL_LIMIT
     recorder = TraceRecorder(simulator, simulator.signals)
     scenario = next(s for s in SCENARIOS if s.number == 2)
     sets = scenario.generate_inputs()
-    outcome = built.run_scenario(sets)
-    monitor = getattr(system, "monitor", None) if system is not None else None
+    if reset:
+        simulator.register_module(
+            _ResetPulse(processor.master.slave.rst, simulator.cycle + _RESET_CYCLE)
+        )
+    try:
+        result = built.run_scenario(sets)
+        outcome = (result["result"], result["cycles"], result["transactions"])
+    except Exception as exc:  # the run's error is part of what must agree
+        outcome = (type(exc).__name__, str(exc))
+    monitor = getattr(system, "monitor", None)
     violations = (
         [(v.cycle, v.rule, v.detail) for v in monitor.violations]
         if monitor is not None
         else None
     )
-    return recorder.trace.samples, (
-        outcome["result"],
-        outcome["cycles"],
-        outcome["transactions"],
-        violations,
-    )
+    machines = [
+        proc
+        for proc, *_ in simulator._clocked_decls + simulator._comb_decls
+        if isinstance(getattr(proc, "__self__", None), BoundFsm)
+    ]
+    return recorder.trace.samples, (outcome, violations, simulator.cycle), machines
 
 
-class TestRetainedPythonPathParity:
-    """IR machines are cycle-exact against the retained hand-written ticks.
+_KERNELS = [
+    pytest.param(Simulator, id="event"),
+    pytest.param(CompiledSimulator, id="compiled"),
+]
 
-    The ``python`` backend registers the original tick methods; building
-    the same system on the same kernel with both backends and comparing
-    every signal on every cycle proves each port faithful.
+
+class TestInterpreterOracle:
+    """Every paper-grid machine is cycle-exact against the IR interpreter.
+
+    The default build runs each machine's generated tick (event kernel) or
+    its lowered body (compiled kernel); the interpreted build runs the
+    tree-walker, which shares no code with the emitter behind both.  The
+    two must agree on every signal on every cycle, on the outcome (or the
+    error raised) and on the monitor's violations.
     """
 
-    @pytest.mark.parametrize("bus", ["plb", "fcb", "opb", "apb"])
-    @pytest.mark.parametrize("kernel", [Simulator, CompiledSimulator])
-    def test_splice_systems_match_legacy(self, bus, kernel):
-        def build(factory):
-            return build_splice_interpolator(f"splice_{bus}", simulator_factory=factory)
+    def _compare(self, build, kernel, reset):
+        trace, outcome, machines = _run_scenario_trace(build, kernel, reset)
+        with _interpreted_machines():
+            oracle_trace, oracle_outcome, oracle_machines = _run_scenario_trace(
+                build, kernel, reset
+            )
+        # Both builds really run the form they claim to.
+        assert machines and all(proc is proc.__self__.tick for proc in machines)
+        assert len(oracle_machines) == len(machines)
+        assert all(
+            proc == proc.__self__.tick_interpreted for proc in oracle_machines
+        )
+        assert outcome == oracle_outcome
+        assert trace == oracle_trace, "generated machines diverge from the interpreter"
+        return outcome
 
-        ir_trace, ir_outcome = _run_scenario_trace(build, kernel)
-        with use_backend("python"):
-            py_trace, py_outcome = _run_scenario_trace(build, kernel)
-        assert ir_outcome == py_outcome
-        assert ir_trace == py_trace, f"IR port of {bus} diverges from the Python path"
+    @pytest.mark.parametrize("kernel", _KERNELS)
+    @pytest.mark.parametrize("build", _PAPER_GRID)
+    def test_scenario_matches_interpreter(self, build, kernel):
+        (result, _, _), _, _ = self._compare(build, kernel, reset=False)
         scenario = next(s for s in SCENARIOS if s.number == 2)
-        assert ir_outcome[0] == interpolate_fixed_point(*scenario.generate_inputs()) & 0xFFFFFFFF
+        assert result == interpolate_fixed_point(*scenario.generate_inputs()) & 0xFFFFFFFF
 
-    @pytest.mark.parametrize(
-        "builder", [build_naive_plb_system, build_optimized_fcb_system]
-    )
-    def test_baselines_match_legacy(self, builder):
-        def build(factory):
-            return builder(simulator_factory=factory)
-
-        for kernel in (Simulator, CompiledSimulator):
-            ir_trace, ir_outcome = _run_scenario_trace(build, kernel)
-            with use_backend("python"):
-                py_trace, py_outcome = _run_scenario_trace(build, kernel)
-            assert ir_outcome == py_outcome
-            assert ir_trace == py_trace
-
-    def test_python_backend_still_selectable_per_module(self):
-        with use_backend("python"):
-            system = build_splice_interpolator("splice_plb").system
-        assert system.master.fsm is None  # retained tick registered
-        system2 = build_splice_interpolator("splice_plb").system
-        assert system2.master.fsm is not None
+    @pytest.mark.parametrize("kernel", _KERNELS)
+    @pytest.mark.parametrize("build", _PAPER_GRID)
+    def test_native_reset_matches_interpreter(self, build, kernel):
+        _, _, cycles = self._compare(build, kernel, reset=True)
+        # The reset landed mid-scenario: the run did not finish before it.
+        assert cycles > _RESET_CYCLE + 1

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.rtl import (
-    FSM,
     CompiledSimulator,
     Module,
     ReferenceSimulator,
@@ -279,33 +278,6 @@ class TestModule:
         sim.step(2)
         assert len(ticks) == 2
         assert any(s.name == "c.y" for s in parent.iter_signals())
-
-
-class TestFSM:
-    def test_transitions(self):
-        fsm = FSM("f", ["A", "B", "C"])
-        sim = Simulator()
-        sim.add_signals(fsm.signals())
-        assert fsm.state == "A"
-        fsm.request("C")
-        sim.step(0)
-        for sig in fsm.signals():
-            sig.commit()
-        assert fsm.state == "C"
-        assert fsm.is_in("C")
-
-    def test_unknown_state_rejected(self):
-        fsm = FSM("f", ["A"])
-        with pytest.raises(KeyError):
-            fsm.encode("Z")
-
-    def test_duplicate_states_rejected(self):
-        with pytest.raises(ValueError):
-            FSM("f", ["A", "A"])
-
-    def test_empty_states_rejected(self):
-        with pytest.raises(ValueError):
-            FSM("f", [])
 
 
 class TestTrace:
