@@ -2,9 +2,12 @@
 
 Executors turn a list of :class:`~repro.campaign.spec.CampaignCell` into
 ``{cell.key: (result, cycles, transactions)}``.  Both executors share the
-same per-shard runner (:func:`execute_cells`), so serial and sharded runs
-are bit-identical by construction: every cell's inputs are derived only from
-the cell itself, and runners are rebuilt fresh per shard.
+same per-shard runner (:func:`execute_cells`), and every loop that runs
+cells — that one and the service farm's warm workers — runs each cell
+through :meth:`ResidentRunners.run`, so serial, sharded and served runs are
+bit-identical by construction, error rows included: every cell's inputs
+(and the text of its error, if it fails) are derived only from the cell
+itself.
 
 Simulators are not picklable, so :class:`ShardedExecutor` ships only the
 cell descriptors to each worker process; workers rebuild systems from the
@@ -59,6 +62,77 @@ class CellError:
 ResultCallback = Callable[[CampaignCell, Union[CellOutcome, CellError]], None]
 
 
+def resolve_workers(workers: Optional[int]) -> int:
+    """The one rule for worker counts, shared by the batch and service paths.
+
+    ``0`` or ``None`` (the CLI's ``--workers auto``) resolves to one worker
+    per host CPU; a positive count is used as given; a negative count raises
+    :class:`ValueError`.
+    """
+    if workers is None or workers == 0:
+        return os.cpu_count() or 1
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0 (0 = auto), got {workers}")
+    return workers
+
+
+class ResidentRunners:
+    """The runners one process keeps, keyed by ``(label, kernel)``.
+
+    Each runner is built on first use and reused by every later cell of its
+    implementation and kernel; the fault schedule it has applied is tracked
+    so consecutive cells with the same schedule do not re-apply it.
+    """
+
+    def __init__(self) -> None:
+        self._runners: Dict[Tuple[str, str], object] = {}
+        self._applied: Dict[Tuple[str, str], Optional[str]] = {}
+        #: Runners built so far (evicted ones included).
+        self.builds = 0
+
+    def __len__(self) -> int:
+        return len(self._runners)
+
+    def get(self, label: str, kernel: str) -> object:
+        key = (label, kernel)
+        runner = self._runners.get(key)
+        if runner is None:
+            runner = self._runners[key] = build_runner(label, kernel=kernel)
+            self._applied[key] = None
+            self.builds += 1
+        return runner
+
+    def run(self, cell: CampaignCell) -> Union[CellOutcome, CellError]:
+        """Run one cell: the per-cell body of every loop that executes cells.
+
+        A faulted cell whose runner cannot inject (baselines have no SIS
+        bundle) yields a ``faults_unsupported`` :class:`CellError`.  A
+        faulted cell whose simulation raises (a fault can deadlock the
+        handshake into a driver timeout) yields a ``cell_exception`` record
+        and evicts the runner, which may be wedged mid-handshake, so the
+        next cell of its label rebuilds fresh.  A clean cell's exception
+        propagates: a batch run fails, a farm worker reports an error row.
+        """
+        key = (cell.label, cell.kernel)
+        runner = self.get(*key)
+        faults = cell.faults
+        apply_faults = getattr(runner, "apply_faults", None)
+        if faults is not None and apply_faults is None:
+            return CellError("faults_unsupported", f"runner {cell.label!r} cannot inject fault schedule {faults!r}")
+        if apply_faults is not None and self._applied[key] != faults:
+            apply_faults(faults)
+            self._applied[key] = faults
+        sets = cell.generate_inputs()
+        try:
+            outcome = runner.run_scenario(sets)
+        except Exception as exc:
+            if faults is None:
+                raise
+            del self._runners[key], self._applied[key]
+            return CellError("cell_exception", f"fault schedule {faults!r}: {type(exc).__name__}: {exc}")
+        return (int(outcome["result"]) & 0xFFFFFFFF, int(outcome["cycles"]), int(outcome.get("transactions", 0)))
+
+
 def execute_cells(
     cells: Sequence[CampaignCell],
     on_result: Optional[ResultCallback] = None,
@@ -68,62 +142,16 @@ def execute_cells(
     This is both the whole of :class:`SerialExecutor` and the per-worker body
     of :class:`ShardedExecutor` — a single code path keeps the two executors
     trivially equivalent.  (Workers call it without ``on_result``; callbacks
-    don't cross process boundaries.)
-
-    Cells carrying a fault schedule attach it to the shared runner before the
-    scenario and clear it after; a faulted cell whose simulation raises (a
-    fault can deadlock the handshake into a driver timeout) or whose runner
-    cannot inject (baselines have no SIS bundle) yields a structured
-    :class:`CellError` instead of aborting the shard.  Clean cells are
-    untouched: they share runners as before and a raise still propagates.
+    don't cross process boundaries.)  Each cell runs through
+    :meth:`ResidentRunners.run`, so a failed faulted cell becomes a
+    :class:`CellError` row while a clean cell's exception aborts the run.
     """
     outcomes: Dict[tuple, Union[CellOutcome, CellError]] = {}
-    runners: Dict[tuple, object] = {}
-    applied: Dict[tuple, Optional[str]] = {}
-
-    def emit(cell: CampaignCell, value: Union[CellOutcome, CellError]) -> None:
-        outcomes[cell.key] = value
-        if on_result is not None:
-            on_result(cell, value)
-
+    runners = ResidentRunners()
     for cell in sorted(cells, key=lambda c: c.key):
-        runner_key = (cell.label, cell.kernel)
-        faults = getattr(cell, "faults", None)
-        runner = runners.get(runner_key)
-        if runner is None:
-            runner = runners[runner_key] = build_runner(cell.label, kernel=cell.kernel)
-            applied[runner_key] = None
-        apply_faults = getattr(runner, "apply_faults", None)
-        if faults is not None and apply_faults is None:
-            emit(cell, CellError(
-                kind="faults_unsupported",
-                message=f"runner {cell.label!r} cannot inject fault schedule {faults!r}",
-            ))
-            continue
-        if apply_faults is not None and applied[runner_key] != faults:
-            apply_faults(faults)
-            applied[runner_key] = faults
-        sets = cell.generate_inputs()
-        if faults is None:
-            outcome = runner.run_scenario(sets)
-        else:
-            try:
-                outcome = runner.run_scenario(sets)
-            except Exception as exc:
-                # The faulted system may be wedged mid-handshake: drop the
-                # runner so later cells of this label rebuild fresh.
-                runners.pop(runner_key, None)
-                applied.pop(runner_key, None)
-                emit(cell, CellError(
-                    kind="cell_exception",
-                    message=f"fault schedule {faults!r}: {type(exc).__name__}: {exc}",
-                ))
-                continue
-        emit(cell, (
-            int(outcome["result"]) & 0xFFFFFFFF,
-            int(outcome["cycles"]),
-            int(outcome.get("transactions", 0)),
-        ))
+        outcome = outcomes[cell.key] = runners.run(cell)
+        if on_result is not None:
+            on_result(cell, outcome)
     return outcomes
 
 
@@ -158,7 +186,7 @@ class ShardedExecutor:
     name = "sharded"
 
     def __init__(self, workers: int = 0) -> None:
-        self.workers = workers if workers > 0 else (os.cpu_count() or 1)
+        self.workers = resolve_workers(workers)
 
     @staticmethod
     def partition(cells: Sequence[CampaignCell], shards: int) -> List[List[CampaignCell]]:
@@ -250,17 +278,12 @@ class ShardedExecutor:
 
 
 def make_executor(workers: Optional[int] = 1) -> object:
-    """Resolve a worker count to an executor.
+    """Resolve a worker count (see :func:`resolve_workers`) to an executor.
 
-    ``0`` or ``None`` (the CLI's ``--workers auto``) resolves to
-    ``os.cpu_count()`` — the same rule the service's worker pool applies, so
-    "auto" means the same thing on every path.  ``1`` (and a 1-CPU host's
-    "auto") is serial; anything larger is a sharded pool of that size.
+    ``1`` (and a 1-CPU host's "auto") is serial; anything larger is a
+    sharded pool of that size.
     """
-    if workers is None or workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0 (0 = auto), got {workers}")
+    workers = resolve_workers(workers)
     if workers <= 1:
         return SerialExecutor()
     return ShardedExecutor(workers=workers)

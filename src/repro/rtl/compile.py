@@ -65,11 +65,12 @@ The testbench side of a simulation lives inside the same generated loop:
   declarative :class:`~repro.rtl.simulator.WaitCondition` to generated
   ``wait_eq``/``wait_ge`` loops sharing the per-cycle body with ``step``,
   so a whole driver-call wait is one call with a slot compare per cycle.
-* **Fused monitors** — a monitor object implementing
-  ``emit_compiled_monitor(prefix)`` (see
-  :meth:`repro.sis.protocol.SISProtocolMonitor.emit_compiled_monitor`) has
-  its per-cycle checks inlined, state hoisted into function locals, and
-  event-gated on its declared signals — no per-cycle Python dispatch.
+* **Fused monitors** — a monitor registered as the ``tick`` of a
+  ``monitor`` FSM-IR spec (:meth:`repro.rtl.fsm.BoundFsm.emit_compiled_monitor`;
+  the SIS protocol monitor is one) has its checks inlined from the same
+  emitter as its standalone tick, its registers hoisted into function
+  locals, and its body event-gated on the spec's ``gate`` signals and
+  ``hot`` expression — no per-cycle Python dispatch.
 * **Timed wakes** — gated clocked processes in pure countdowns call
   :meth:`wake_after` and sleep; the loop pays one integer compare per cycle
   against the earliest pending wake.
@@ -617,17 +618,18 @@ class CompiledSimulator(Simulator):
     ) -> Tuple[List[str], List[str], List[str], Dict[str, object], int, dict]:
         """Collect the per-cycle monitor code for the generated loop.
 
-        A monitor whose process is a bound method of an object implementing
-        ``emit_compiled_monitor(prefix)`` (e.g.
-        :class:`repro.sis.protocol.SISProtocolMonitor`) is *fused*: its
-        checks run inline in the generated loop with inputs and rolling state
-        hoisted to function locals — no per-cycle Python dispatch.  A fused
-        monitor that declares ``gate_signals`` additionally gets a bit in the
-        event word (above the gated-clocked wake bits): its per-cycle block
-        is skipped entirely on cycles where none of those signals changed and
-        its ``hot`` state expression is false — a skip the hook guarantees is
-        a no-op.  Every other monitor keeps the plain ``m<id>()`` call.
-        Order of registration is preserved either way.
+        A monitor whose process is the canonical ``tick`` of an object
+        implementing ``emit_compiled_monitor(prefix)`` (a monitor-kind
+        :class:`repro.rtl.fsm.BoundFsm`, such as the SIS protocol monitor's)
+        is *fused*: its checks run inline in the generated loop with inputs
+        and registers hoisted to function locals — no per-cycle Python
+        dispatch.  A fused monitor that declares ``gate_signals``
+        additionally gets a bit in the event word (above the gated-clocked
+        wake bits): its per-cycle block is skipped entirely on cycles where
+        none of those signals changed and its ``hot`` state expression is
+        false — a skip the hook guarantees is a no-op.  Every other monitor
+        keeps the plain ``m<id>()`` call.  Order of registration is
+        preserved either way.
 
         Returns (entry_lines, per_cycle_lines, exit_lines, namespace,
         fused_count, leap_info); monitor event-mask bits are assigned as a
@@ -655,7 +657,10 @@ class CompiledSimulator(Simulator):
         for mid, proc in enumerate(self._monitors):
             owner = getattr(proc, "__self__", None)
             hook = getattr(owner, "emit_compiled_monitor", None)
-            if hook is None:
+            # As in _fsm_blocks: fuse only the monitor's canonical tick; any
+            # other registered callable of it (the interpreter oracle) runs
+            # as a plain call.
+            if hook is None or proc is not getattr(owner, "tick", None):
                 body.append(f"m{mid}()")
                 leap_hook = getattr(owner, "observe_leap", None)
                 if leap_hook is not None:
@@ -1284,10 +1289,7 @@ def settle_once():
         fn = self._entry("wait_eq" if condition.op == "==" else "wait_ge")
         elapsed = fn(condition.signal, condition.value, timeout)
         if elapsed < 0:
-            raise SimulationError(
-                f"run_until timed out after {timeout} cycles "
-                f"(started at {self.cycle - timeout})"
-            )
+            raise SimulationError(f"run_until timed out after {timeout} cycles")
         return elapsed
 
     def reset(self) -> None:

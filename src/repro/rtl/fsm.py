@@ -1,5 +1,5 @@
 """Lowerable finite-state-machine IR — the declarative form of every
-per-cycle Python state machine in the tree.
+per-cycle Python state machine and protocol monitor in the tree.
 
 PR 4 measured the remaining cost of the compiled kernel on the Figure 9.1
 workloads: every bus master, slave adapter, user-logic stub and arbiter
@@ -20,7 +20,8 @@ updates, timed-wake parks — and the description has two backends:
   kernels (event-driven and reference) call — IR execution without per-op
   dispatch cost; and
 * a **lowered backend** (:meth:`BoundFsm.emit_compiled_clocked` /
-  :meth:`BoundFsm.emit_compiled_comb`): a code generator the
+  :meth:`BoundFsm.emit_compiled_comb` / :meth:`BoundFsm.emit_compiled_monitor`):
+  a code generator the
   :class:`~repro.rtl.compile.CompiledSimulator` calls at elaboration freeze
   to inline the machine straight into its fused ``step(n)`` loop — the
   state register is held in a function local across cycles, all bindings
@@ -31,21 +32,34 @@ they cannot drift apart; the tree-walker is an independent implementation.
 ``tests/test_kernel_equivalence.py`` proves standalone and lowered
 execution cycle-exact against each other on the full paper grid;
 ``tests/test_fsm_ir.py`` proves the interpreter equivalent to both on
-randomized machines and on every machine of the paper grid (four Splice
-buses plus both hand-coded baselines, with and without a native bus
-reset).
+randomized machines, on every machine and monitor of the paper grid (four
+Splice buses plus both hand-coded baselines, with and without a native bus
+reset), and on generated SIS sequences for the protocol monitor.
 
 The IR
 ------
 
-A machine is an :class:`FsmSpec`: an ``entry`` op tree executed every tick
-(reset handling, request detection, cycle accounting) containing exactly one
-:class:`StateDispatch` marker, plus named states whose bodies are op trees.
+A machine is an :class:`FsmSpec` of one of three kinds:
+
+* ``clocked`` — an ``entry`` op tree executed every tick (reset handling,
+  request detection, cycle accounting) containing exactly one
+  :class:`StateDispatch` marker, plus named states whose bodies are op
+  trees;
+* ``comb`` — a stateless ``entry`` tree that may only ``Drive``;
+* ``monitor`` — a stateless ``entry`` tree run after every cycle that may
+  only ``Exec``, ``If`` and ``Call``; its rolling state lives in
+  zero-initialised ``regs`` that persist across cycles and recompiles, and
+  its event gate is data: the compiled kernel runs it only on cycles where
+  one of the ``gate`` signals changed or the ``hot`` expression over the
+  regs is true.  The SIS protocol monitor (:mod:`repro.sis.protocol`) is
+  one.
+
 Expressions are Python expression strings over a closed lexicon declared by
 the spec — signal bindings (``sig_name._value`` reads the committed slot),
 ``m`` (the owning module object), integer constants (inlined as literals by
-the lowering backend), scratch temps, and ``CYCLE`` (the pre-increment
-simulator cycle).  Side effects are explicit ops:
+the lowering backend), scratch temps, monitor regs, and ``CYCLE`` (the
+simulator cycle when the process runs: before the increment for machines,
+after it for monitors).  Side effects are explicit ops:
 
 ========================  ====================================================
 :class:`Exec`             a statement over the lexicon (counter updates etc.)
@@ -59,8 +73,9 @@ simulator cycle).  Side effects are explicit ops:
 :class:`Drive`            combinational ``sig.drive(expr)`` (comb specs only)
 :class:`ScheduleZero`     bulk clear of a declared signal group
 :class:`Call`             escape to a bound Python helper (transaction
-                          boundaries); the state register is synchronised
-                          around the call so helpers may set it
+                          boundaries, monitor records); in clocked machines
+                          the state register is synchronised around the
+                          call so helpers may set it
 :class:`Sleep`            timed-wake park for pure countdowns
 ========================  ====================================================
 
@@ -235,15 +250,19 @@ class FsmSpec:
     """One machine, described as data.
 
     ``kind`` is ``"clocked"`` (stateful, produces an activity flag, may
-    schedule/pulse) or ``"comb"`` (stateless entry-only body that may only
-    ``drive``).  State bodies and ``entry`` are op trees; the owner object's
-    ``state_attr`` attribute holds the *name* of the current state between
-    ticks (helpers and tests keep reading the familiar strings), while both
-    backends dispatch on a dense integer register internally.
+    schedule/pulse), ``"comb"`` (stateless entry-only body that may only
+    ``drive``) or ``"monitor"`` (see the module docstring).  State bodies and
+    ``entry`` are op trees; the owner object's ``state_attr`` attribute
+    holds the *name* of the current state between ticks (helpers and tests
+    keep reading the familiar strings), while both backends dispatch on a
+    dense integer register internally.
 
     The binding name tuples (``signals``/``groups``/``helpers``/``consts``/
-    ``temps``) declare the complete expression lexicon; binding the spec
-    (:class:`BoundFsm`) checks that every declared name is supplied.
+    ``temps``/``regs``) declare the complete expression lexicon; binding the
+    spec (:class:`BoundFsm`) checks that every declared name is supplied.
+    A monitor's ``gate`` and ``hot`` assert that a cycle on which no gate
+    signal changed and ``hot`` is false records nothing and leaves every
+    reg unchanged, so the compiled kernel may skip it.
     """
 
     name: str
@@ -259,6 +278,9 @@ class FsmSpec:
     helpers: tuple = ()
     consts: tuple = ()
     temps: tuple = ()
+    regs: tuple = ()
+    gate: tuple = ()
+    hot: str = "False"
 
     def __post_init__(self) -> None:
         self.entry = _ops(self.entry)
@@ -284,8 +306,28 @@ class FsmSpec:
 
     def validate(self) -> None:
         """Reject malformed machines with the offending construct named."""
-        if self.kind not in ("clocked", "comb"):
+        if self.kind not in ("clocked", "comb", "monitor"):
             raise FsmError(f"FSM {self.name!r}: unknown kind {self.kind!r}")
+
+        if self.kind == "monitor":
+            bad = [op for op in self._all_ops() if not isinstance(op, (Exec, If, Call))]
+            if self.states or bad:
+                raise FsmError(
+                    f"monitor {self.name!r} uses {bad or 'states'}; monitors "
+                    f"may only Exec, If and Call in their entry ops"
+                )
+            undeclared = [name for name in self.gate if name not in self.signals]
+            if undeclared:
+                raise FsmError(f"monitor {self.name!r}: gate names undeclared signal(s) {undeclared}")
+            hot_names = compile(self.hot, f"<fsm {self.name} hot>", "eval").co_names
+            if not set(hot_names) <= set(self.regs):
+                raise FsmError(
+                    f"monitor {self.name!r}: hot expression {self.hot!r} may "
+                    f"read only the regs {list(self.regs)}"
+                )
+            return
+        if self.regs or self.gate or self.hot != "False":
+            raise FsmError(f"FSM {self.name!r}: regs, gate and hot belong to monitor specs")
 
         if self.kind == "comb":
             if self.states:
@@ -406,8 +448,10 @@ class FsmSpec:
         # The lexicon: lowering renames each name by its category, so the
         # same ops over names declared in different categories emit
         # different code.
-        for category in ("signals", "groups", "helpers", "consts", "temps"):
+        for category in ("signals", "groups", "helpers", "consts", "temps", "regs"):
             lines.append(f"{category}:{','.join(getattr(self, category))}")
+        lines.append(f"gate:{','.join(self.gate)}")
+        lines.append(f"hot:{self.hot}")
         return "\n".join(lines)
 
     def fingerprint(self) -> str:
@@ -424,7 +468,7 @@ class FsmSpec:
 
 #: Bumped whenever the IR schema or execution semantics change; folded into
 #: :func:`fsm_ir_fingerprint` so caches keyed on it invalidate.
-FSM_IR_VERSION = 1
+FSM_IR_VERSION = 2
 
 
 @lru_cache(maxsize=1)
@@ -528,6 +572,9 @@ class BoundFsm:
         self._helpers = helpers
         self._consts = consts
         self._bindings: Dict[str, object] = {**signals, **groups}
+        #: Monitor registers, shared by all three execution forms, so their
+        #: history survives a recompile or a change of kernel.
+        self._regs = [0] * len(spec.regs)
         self._state_names = list(spec.states)
         self._state_index = {name: i for i, name in enumerate(self._state_names)}
         # Persistent expression namespace for the interpreter: bindings are
@@ -652,12 +699,15 @@ class BoundFsm:
             elif tag == _GOTO:
                 ctx[0] = op[1]
             elif tag == _CALL:
+                clocked = self.spec.kind == "clocked"
                 owner, attr = self.owner, self.spec.state_attr
-                setattr(owner, attr, self._state_names[ctx[0]])
+                if clocked:
+                    setattr(owner, attr, self._state_names[ctx[0]])
                 result = op[1](*eval(op[2], ns)) if op[2] is not None else op[1]()
                 if op[3] is not None:
                     ns[op[3]] = result
-                ctx[0] = self._state_index[getattr(owner, attr)]
+                if clocked:
+                    ctx[0] = self._state_index[getattr(owner, attr)]
             elif tag == _SLEEP:
                 delta = eval(op[1], ns)
                 sim = ctx[2]
@@ -706,8 +756,11 @@ class BoundFsm:
         sim = getattr(owner, "_simulator", None)
         ns = self._ns
         ns["CYCLE"] = sim.cycle if sim is not None else 0
-        if self.spec.kind == "comb":
+        if self.spec.kind != "clocked":
+            regs = self.spec.regs
+            ns.update(zip(regs, self._regs))
             self._run(self._entry_prog, ns, [0, False, sim])
+            self._regs[:] = [ns[name] for name in regs]
             return None
         ctx = [self._state_index[getattr(owner, self.spec.state_attr)], False, sim]
         self._run(self._entry_prog, ns, ctx)
@@ -741,7 +794,7 @@ class BoundFsm:
             for name in spec.consts:
                 mapping[name] = f"{p}_k_{name}"
             rename = self._renamer(mapping)
-            make_params: List[str] = [f"{p}_M", f"{p}_SN", f"{p}_SI", f"{p}_SZ"]
+            make_params: List[str] = [f"{p}_M", f"{p}_SN", f"{p}_SI", f"{p}_SZ", f"{p}_RG"]
             alias_lines = [f"{p}_m = {p}_M"]
             for name in spec.signals:
                 make_params.append(f"{p}_SIG_{name}")
@@ -768,6 +821,12 @@ class BoundFsm:
             if spec.kind == "comb":
                 lines += ["        " + line for line in body]
                 lines.append("        return None")
+            elif spec.kind == "monitor":
+                lines.append(f"        {p}_s = {p}_m._simulator")
+                lines.append(f"        cyc = {p}_s.cycle if {p}_s is not None else 0")
+                load, store = self._reg_lines(p)
+                lines += ["        " + line for line in load + body + store]
+                lines.append("        return None")
             else:
                 lines.append(f"        {p}_s = {p}_m._simulator")
                 lines.append(f"        cyc = {p}_s.cycle if {p}_s is not None else 0")
@@ -785,6 +844,7 @@ class BoundFsm:
             f"{p}_SN": self._state_names,
             f"{p}_SI": self._state_index,
             f"{p}_SZ": schedule_zero,
+            f"{p}_RG": self._regs,
         }
         for name in spec.signals:
             make_args[f"{p}_SIG_{name}"] = self._signals[name]
@@ -888,13 +948,16 @@ class BoundFsm:
                         lines.append(indent + f"    {sig}._auto = False")
             elif isinstance(op, Call):
                 attr = spec.state_attr
-                lines.append(indent + f"{p}_m.{attr} = {p}_SN[{p}_st]")
+                clocked = spec.kind == "clocked"
+                if clocked:
+                    lines.append(indent + f"{p}_m.{attr} = {p}_SN[{p}_st]")
                 call = f"{rename(op.helper)}({rename(op.args)})"
                 if op.store is not None:
                     lines.append(indent + f"{rename(op.store)} = {call}")
                 else:
                     lines.append(indent + call)
-                lines.append(indent + f"{p}_st = {p}_SI[{p}_m.{attr}]")
+                if clocked:
+                    lines.append(indent + f"{p}_st = {p}_SI[{p}_m.{attr}]")
             elif isinstance(op, Sleep):
                 lines.append(indent + f"{p}_d = {rename(op.delta)}")
                 if self._standalone:
@@ -1036,13 +1099,22 @@ class BoundFsm:
             mapping[name] = repr(value)
         for name in self.spec.temps:
             mapping[name] = f"{p}_t_{name}"
+        for name in self.spec.regs:
+            mapping[name] = f"{p}_r_{name}"
         return mapping
+
+    def _reg_lines(self, p: str) -> Tuple[List[str], List[str]]:
+        """Lines that load the monitor registers into locals, and store them."""
+        if not self.spec.regs:
+            return [], []
+        names = ", ".join(f"{p}_r_{name}" for name in self.spec.regs)
+        return [f"{names}, = {p}_RG"], [f"{p}_RG[:] = ({names},)"]
 
     def _emit_lowered_body(self, p: str) -> List[str]:
         """Emit the lowered per-cycle lines of this machine under prefix ``p``."""
-        if self.spec.kind == "clocked":
+        if self.spec.kind != "comb":
             rename = self._renamer(self._rename_map(p))
-            body: List[str] = [f"{p}_act = False"]
+            body: List[str] = [f"{p}_act = False"] if self.spec.kind == "clocked" else []
         else:
             # The comb body references namespace globals directly and
             # never reads CYCLE, groups or helpers.
@@ -1083,6 +1155,24 @@ class BoundFsm:
         )
         return list(body)
 
+    def _hoisted_bindings(self, p: str) -> Tuple[Dict[str, object], List[str]]:
+        """The namespace and entry lines that hoist the owner and every
+        binding into function locals, once per generated call."""
+        namespace: Dict[str, object] = {f"{p}_M": self.owner}
+        entry = [f"{p}_m = {p}_M"]
+        for name, sig in self._signals.items():
+            namespace[f"{p}_SIG_{name}"] = sig
+            entry.append(f"{p}_{name} = {p}_SIG_{name}")
+        for name, group in self._groups.items():
+            namespace[f"{p}_GRP_{name}"] = group
+            entry.append(f"{p}_g_{name} = {p}_GRP_{name}")
+            for index, sig in enumerate(group):
+                namespace[f"{p}_GM_{name}_{index}"] = sig
+        for name, helper in self._helpers.items():
+            namespace[f"{p}_HLP_{name}"] = helper
+            entry.append(f"{p}_h_{name} = {p}_HLP_{name}")
+        return namespace, entry
+
     def emit_compiled_clocked(self, prefix: str) -> dict:
         """Lowering hook for :class:`repro.rtl.compile.CompiledSimulator`.
 
@@ -1096,26 +1186,14 @@ class BoundFsm:
         if self.spec.kind != "clocked":
             raise FsmError(f"FSM {self.spec.name!r} is not a clocked machine")
         p = prefix
-        namespace: Dict[str, object] = {
-            f"{p}_M": self.owner,
+        namespace, entry = self._hoisted_bindings(p)
+        namespace.update({
             f"{p}_SN": self._state_names,
             f"{p}_SI": self._state_index,
             f"{p}_SZ": schedule_zero,
             f"{p}_TICK": self.tick,
             f"{p}_FERR": FsmError,
-        }
-        entry = [f"{p}_m = {p}_M"]
-        for name, sig in self._signals.items():
-            namespace[f"{p}_SIG_{name}"] = sig
-            entry.append(f"{p}_{name} = {p}_SIG_{name}")
-        for name, group in self._groups.items():
-            namespace[f"{p}_GRP_{name}"] = group
-            entry.append(f"{p}_g_{name} = {p}_GRP_{name}")
-            for index, sig in enumerate(group):
-                namespace[f"{p}_GM_{name}_{index}"] = sig
-        for name, helper in self._helpers.items():
-            namespace[f"{p}_HLP_{name}"] = helper
-            entry.append(f"{p}_h_{name} = {p}_HLP_{name}")
+        })
         entry.append(f"{p}_st = {p}_SI[{p}_m.{self.spec.state_attr}]")
         exit_ = [f"{p}_M.{self.spec.state_attr} = {p}_SN[{p}_st]"]
         return {
@@ -1146,4 +1224,31 @@ class BoundFsm:
             "namespace": namespace,
             "label": self.profile_label,
             "fingerprint": self.spec.fingerprint(),
+        }
+
+    def emit_compiled_monitor(self, prefix: str) -> dict:
+        """Fusion hook for monitors (see ``CompiledSimulator._monitor_blocks``).
+
+        Returns ``entry`` lines (hoist bindings and load the registers into
+        locals), the per-cycle ``body`` (the monitor inlined, emitted by the
+        same emitter as the standalone tick), ``exit`` lines (write the
+        registers back), the ``namespace``, and the event gate: the
+        ``gate_signals`` and the ``hot`` expression over the register
+        locals.  ``CYCLE`` reads the loop's post-increment cycle number, the
+        value a scan kernel's monitor reads from the simulator.
+        """
+        spec = self.spec
+        if spec.kind != "monitor":
+            raise FsmError(f"FSM {spec.name!r} is not a monitor")
+        p = prefix
+        namespace, entry = self._hoisted_bindings(p)
+        namespace[f"{p}_RG"] = self._regs
+        load, store = self._reg_lines(p)
+        return {
+            "entry": entry + load,
+            "body": self._lowered_body(p),
+            "exit": store,
+            "namespace": namespace,
+            "gate_signals": [self._signals[name] for name in spec.gate],
+            "hot": self._renamer(self._rename_map(p))(spec.hot),
         }

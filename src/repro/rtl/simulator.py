@@ -480,9 +480,7 @@ class Simulator:
         start = self.cycle
         while not condition():
             if self.cycle - start >= timeout:
-                raise SimulationError(
-                    f"run_until timed out after {timeout} cycles (started at {start})"
-                )
+                raise SimulationError(f"run_until timed out after {timeout} cycles")
             self.step()
         return self.cycle - start
 
@@ -504,16 +502,12 @@ class Simulator:
         if condition.op == "==":
             while sig._value != target:
                 if self.cycle - start >= timeout:
-                    raise SimulationError(
-                        f"run_until timed out after {timeout} cycles (started at {start})"
-                    )
+                    raise SimulationError(f"run_until timed out after {timeout} cycles")
                 step()
         else:
             while sig._value < target:
                 if self.cycle - start >= timeout:
-                    raise SimulationError(
-                        f"run_until timed out after {timeout} cycles (started at {start})"
-                    )
+                    raise SimulationError(f"run_until timed out after {timeout} cycles")
                 step()
         return self.cycle - start
 

@@ -38,6 +38,7 @@ seed ranges shard across the warm workers, findings stream back live and
 land in the server-side corpus.
 """
 
+from repro.campaign.executor import resolve_workers
 from repro.service.api import build_handler, serve_farm, serve_farm_in_thread
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.farm import (
@@ -45,7 +46,6 @@ from repro.service.farm import (
     DEFAULT_STUCK_TIMEOUT_S,
     FarmSaturated,
     SimulationFarm,
-    resolve_workers,
 )
 from repro.service.jobs import (
     CAMPAIGN,

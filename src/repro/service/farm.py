@@ -48,7 +48,6 @@ beyond the newest :data:`COMPACT_WINDOW_JOBS` are forgotten.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import re
 import shutil
 import tempfile
@@ -60,7 +59,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.campaign.cache import ResultCache, cell_digest
-from repro.campaign.executor import CellError
+from repro.campaign.executor import CellError, resolve_workers
 from repro.campaign.spec import CampaignSpec
 from repro.service.jobs import (
     CAMPAIGN,
@@ -125,17 +124,6 @@ class FarmSaturated(RuntimeError):
     def __init__(self, message: str, retry_after_s: float = DEFAULT_RETRY_AFTER_S):
         super().__init__(message)
         self.retry_after_s = retry_after_s
-
-
-def resolve_workers(workers: int) -> int:
-    """``0`` (the ``--workers auto`` spelling) → ``os.cpu_count()``.
-
-    The same rule :func:`repro.campaign.executor.make_executor` applies, so
-    "auto" means the identical thing on the batch and service paths.
-    """
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0 (0 = auto), got {workers}")
-    return workers if workers > 0 else (os.cpu_count() or 1)
 
 
 class SimulationFarm:
@@ -808,13 +796,13 @@ class SimulationFarm:
             )
             return
         if kind == "cell_error":
-            _, worker_id, job_id, shard_id, key, text = message
+            _, worker_id, job_id, shard_id, key, error = message
             job = self._jobs.get(job_id)
             if job is None or job.is_terminal:
                 self.counters["cells_discarded"] += 1
                 return
             cell = job.in_flight[shard_id].cell(key)
-            job.errors[cell.key] = CellError(kind="cell_exception", message=text)
+            job.errors[cell.key] = error
             self.counters["cells_failed"] += 1
             extra = {} if cell.faults is None else {"faults": cell.faults}
             job.emit(
@@ -824,7 +812,7 @@ class SimulationFarm:
                 seed=cell.seed,
                 repeat=cell.repeat,
                 **extra,
-                error=text,
+                error=error.describe(),
                 worker=worker_id,
                 done=job.cells_done,
                 total=len(job.cells),

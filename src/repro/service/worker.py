@@ -21,8 +21,9 @@ Protocol (all messages are small picklable tuples):
   — the stuck-worker watchdog's liveness signal,
   ``("cell", worker_id, job_id, shard_id, cell_key, (result, cycles, txns))``
   per finished cell (this is what per-cell progress streaming is fed from),
-  ``("cell_error", worker_id, job_id, shard_id, cell_key, message)`` when a
-  single cell raises (the worker survives; job-level fault isolation),
+  ``("cell_error", worker_id, job_id, shard_id, cell_key, error)`` with the
+  cell's :class:`~repro.campaign.executor.CellError` record when a single
+  cell fails (the worker survives; job-level fault isolation),
   ``("shard_done", worker_id, job_id, shard_id, stats)`` at the boundary,
   ``("finding", worker_id, job_id, shard_id, counterexample_dict)`` per
   shrunk fuzz counterexample, as it is found (streamed to clients and
@@ -50,8 +51,9 @@ import os
 import queue
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+from repro.campaign.executor import CellError, ResidentRunners
 from repro.rtl.compile import PROGRAM_CACHE_ENV
 
 #: Minimum seconds between fuzz-case heartbeats (campaign shards heartbeat
@@ -96,8 +98,6 @@ def worker_main(
     its parent process has died: a server killed with SIGKILL never sends
     the stop message.
     """
-    from repro.devices.registry import build_runner
-
     send = results.send
 
     if program_cache_dir:
@@ -106,8 +106,7 @@ def worker_main(
         # a known topology into a disk read.
         os.environ[PROGRAM_CACHE_ENV] = str(program_cache_dir)
 
-    runners: Dict[Tuple[str, str], object] = {}
-    applied_faults: Dict[Tuple[str, str], Optional[str]] = {}
+    runners = ResidentRunners()
     stats = {
         "worker": worker_id,
         "pid": os.getpid(),
@@ -120,19 +119,10 @@ def worker_main(
         "fuzz_errors": 0,
     }
 
-    def get_runner(label: str, kernel: str):
-        key = (label, kernel)
-        runner = runners.get(key)
-        if runner is None:
-            runner = runners[key] = build_runner(label, kernel=kernel)
-            applied_faults[key] = None
-            stats["builds"] += 1
-        return runner
-
     for entry in preload:
         label, kernel = _parse_preload(entry)
         try:
-            get_runner(label, kernel)
+            runners.get(label, kernel)
             stats["preloaded"] += 1
         except Exception:
             # A bad preload label must not take the worker down before it
@@ -140,6 +130,7 @@ def worker_main(
             # used, with a proper error record.
             pass
 
+    stats["builds"] = runners.builds
     send(("ready", worker_id, dict(stats, resident=len(runners))))
 
     parent = multiprocessing.parent_process()
@@ -163,40 +154,22 @@ def worker_main(
         # first completion onward; this covers the first cell's runtime.
         send(("heartbeat", worker_id))
         for cell in cells:
-            faults = getattr(cell, "faults", None)
-            runner_key = (cell.label, cell.kernel)
             try:
-                runner = get_runner(cell.label, cell.kernel)
-                apply_faults = getattr(runner, "apply_faults", None)
-                if faults is not None and apply_faults is None:
-                    raise TypeError(
-                        f"faults_unsupported: runner {cell.label!r} cannot "
-                        f"inject fault schedule {faults!r}"
-                    )
-                if apply_faults is not None and applied_faults[runner_key] != faults:
-                    apply_faults(faults)
-                    applied_faults[runner_key] = faults
-                outcome_raw = runner.run_scenario(cell.generate_inputs())
-                outcome = (
-                    int(outcome_raw["result"]) & 0xFFFFFFFF,
-                    int(outcome_raw["cycles"]),
-                    int(outcome_raw.get("transactions", 0)),
-                )
+                outcome = runners.run(cell)
             except Exception as exc:  # noqa: BLE001 — isolate the cell, keep serving
-                if faults is not None:
-                    # The faulted system may be wedged mid-handshake; evict
-                    # the resident runner so the next cell rebuilds fresh.
-                    runners.pop(runner_key, None)
-                    applied_faults.pop(runner_key, None)
+                # A clean cell that raises (or a label that fails to build)
+                # aborts a batch run; a served job records it and goes on.
+                outcome = CellError(
+                    kind="cell_exception", message=f"{type(exc).__name__}: {exc}"
+                )
+            if isinstance(outcome, CellError):
                 stats["cell_errors"] += 1
-                send((
-                    "cell_error", worker_id, job_id, shard_id, cell.key,
-                    f"{type(exc).__name__}: {exc}",
-                ))
+                send(("cell_error", worker_id, job_id, shard_id, cell.key, outcome))
                 continue
             stats["cells"] += 1
             send(("cell", worker_id, job_id, shard_id, cell.key, outcome))
         stats["shards"] += 1
+        stats["builds"] = runners.builds
         send(("shard_done", worker_id, job_id, shard_id,
               dict(stats, resident=len(runners))))
 

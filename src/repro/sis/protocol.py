@@ -15,6 +15,11 @@ Two protocol variants exist:
 :class:`SISProtocolMonitor` watches a shared :class:`~repro.sis.signals.SISBundle`
 every cycle and records violations of the communication axioms; the test
 suite attaches it to generated hardware to prove adapters honour the SIS.
+The axioms are written once, as a ``monitor`` spec of the FSM IR
+(:mod:`repro.rtl.fsm`), and that one description is executed three ways:
+the generated tick the scan kernels call, the body the compiled kernel
+inlines behind its event gate, and the interpreter the tests use as the
+oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.rtl.fsm import BoundFsm, Call, Exec, FsmSpec, If
 from repro.rtl.simulator import Simulator
 from repro.sis.signals import SISBundle
 
@@ -55,213 +61,108 @@ class ProtocolViolation:
         return f"cycle {self.cycle}: [{self.rule}] {self.detail}"
 
 
+def _record(rule: str, detail: str) -> tuple:
+    """The op that records one violation of ``rule`` at the current cycle."""
+    return (Call("record", f"CYCLE, {rule!r}, {detail!r}"),)
+
+
+def _monitor_spec(variant: ProtocolVariant) -> FsmSpec:
+    """The communication axioms of ``variant`` as one monitor spec.
+
+    Each check compares this cycle's wires with the previous cycle's, held
+    in ``regs``.  The event gate: every check must observe each change of
+    the signals it compares (the strobes, and on pseudo-asynchronous
+    interfaces the payload and function id), plus every cycle of the two
+    held-strobe states in which a record can repeat without any change
+    (``IO_ENABLE`` held keeps ``prev_enable`` hot, ``DATA_OUT_VALID`` held
+    keeps ``prev_out_valid`` hot).  ``IO_DONE`` needs no gate entry: it only
+    ever suppresses records, and the held-``DATA_OUT_VALID`` check that
+    reads it across cycles is kept running by ``prev_out_valid``.
+    """
+    entry = [
+        Exec("enable = io_enable._value\nvalid = data_in_valid._value"),
+        # IO_ENABLE strobes for a single cycle per request.
+        If("enable and prev_enable", (
+            Exec("enable_run += 1"),
+            If("enable_run >= 2", _record("io_enable_strobe", "IO_ENABLE held high for more than one request cycle without a new request")),
+        ), orelse=(Exec("enable_run = 0"),)),
+        # Function id zero addresses the read-only CALC_DONE register.
+        If("enable and valid and func_id._value == 0", _record(
+            "status_register_write", "write presented to function id 0, which is reserved for the CALC_DONE status register")),
+    ]
+    signals = ["io_enable", "data_in_valid", "func_id"]
+    regs = ["prev_enable", "enable_run"]
+    gate = ["io_enable", "data_in_valid"]
+    hot = "prev_enable"
+    if variant is ProtocolVariant.PSEUDO_ASYNCHRONOUS:
+        entry += [
+            # Figure 4.3: payload and target hold steady until IO_DONE.
+            If("prev_valid and valid and not io_done._value", (
+                If("data_in._value != prev_data_in", _record(
+                    "data_in_stability", "DATA_IN changed while DATA_IN_VALID was held waiting for IO_DONE")),
+                If("func_id._value != prev_func_id", _record(
+                    "func_id_stability", "FUNC_ID changed while DATA_IN_VALID was held waiting for IO_DONE")),
+            )),
+            # Figure 4.3: DATA_OUT_VALID and IO_DONE rise together on reads.
+            Exec("out_valid = data_out_valid._value"),
+            If("out_valid and not io_done._value", _record(
+                "read_handshake", "DATA_OUT_VALID asserted without IO_DONE on a pseudo-asynchronous interface")),
+            Exec("prev_valid = valid\nprev_data_in = data_in._value\n"
+                 "prev_func_id = func_id._value\nprev_out_valid = out_valid"),
+        ]
+        signals += ["data_in", "io_done", "data_out_valid"]
+        regs += ["prev_valid", "prev_data_in", "prev_func_id", "prev_out_valid"]
+        gate += ["data_out_valid", "data_in", "func_id"]
+        hot += " or prev_out_valid"
+    entry.append(Exec("prev_enable = enable"))
+    return FsmSpec(
+        name=f"sis_monitor_{variant.value}", kind="monitor", entry=tuple(entry),
+        signals=tuple(signals), helpers=("record",), temps=("enable", "valid", "out_valid"),
+        regs=tuple(regs), gate=tuple(gate), hot=hot,
+    )
+
+
+#: One spec per variant, shared by every monitor: the generated tick and
+#: the lowered text are cached on the spec.
+_MONITOR_SPECS = {variant: _monitor_spec(variant) for variant in ProtocolVariant}
+
+
 @dataclass
 class SISProtocolMonitor:
     """Observes a shared SIS bundle and records protocol violations.
 
     The checks encode the axioms stated in Section 4.2:
 
-    * ``DATA_IN_VALID`` may only be asserted while ``DATA_IN``/``FUNC_ID``
-      are stable (write payload must not glitch mid-transfer),
+    * ``DATA_IN``/``FUNC_ID`` must stay stable while ``DATA_IN_VALID`` waits
+      for ``IO_DONE`` (write payload must not glitch mid-transfer),
     * ``IO_ENABLE`` strobes for a single cycle per request,
     * ``DATA_OUT_VALID`` is only meaningful together with ``IO_DONE`` on
       read completion, and
     * function identifier zero is never the target of a write (it addresses
       the read-only ``CALC_DONE`` status register).
+
+    The first and third apply to pseudo-asynchronous interfaces only.  The
+    rules exist once, as the FSM-IR monitor spec of the variant
+    (:func:`_monitor_spec`); :meth:`attach` registers its generated tick,
+    which the scan kernels call every cycle and the compiled kernel inlines.
     """
 
     bundle: SISBundle
     variant: ProtocolVariant = ProtocolVariant.PSEUDO_ASYNCHRONOUS
     violations: List[ProtocolViolation] = field(default_factory=list)
-    _prev_io_enable: int = 0
-    _io_enable_run: int = 0
-    _prev_valid: int = 0
-    _prev_data_in: int = 0
-    _prev_func_id: int = 0
     _simulator: Optional[Simulator] = None
-    _fused_state_list: Optional[list] = field(default=None, repr=False)
 
     def attach(self, simulator: Simulator) -> "SISProtocolMonitor":
         """Register the monitor with ``simulator`` (runs after every cycle)."""
         self._simulator = simulator
-        simulator.add_monitor(self.sample)
+        spec = _MONITOR_SPECS[self.variant]
+        signals = {name: getattr(self.bundle, name) for name in spec.signals}
+        machine = BoundFsm(spec, self, signals=signals, helpers={"record": self._record})
+        simulator.add_monitor(machine.tick)
         return self
-
-    # -- checking ---------------------------------------------------------
-
-    def sample(self) -> None:
-        # Runs after every simulated cycle; read signal slots directly to keep
-        # the monitor's overhead out of the kernel-throughput numbers.
-        cycle = self._simulator.cycle if self._simulator is not None else len(self.violations)
-        bundle = self.bundle
-
-        io_enable = bundle.io_enable._value
-        if io_enable and self._prev_io_enable:
-            self._io_enable_run += 1
-            if self._io_enable_run >= 2:
-                self._record(cycle, "io_enable_strobe", "IO_ENABLE held high for more than one request cycle without a new request")
-        else:
-            self._io_enable_run = 0
-
-        if io_enable and bundle.data_in_valid._value and bundle.func_id._value == 0:
-            self._record(
-                cycle,
-                "status_register_write",
-                "write presented to function id 0, which is reserved for the CALC_DONE status register",
-            )
-
-        if (
-            self.variant is ProtocolVariant.PSEUDO_ASYNCHRONOUS
-            and self._prev_valid
-            and bundle.data_in_valid._value
-            and not bundle.io_done._value
-        ):
-            if bundle.data_in._value != self._prev_data_in:
-                self._record(
-                    cycle,
-                    "data_in_stability",
-                    "DATA_IN changed while DATA_IN_VALID was held waiting for IO_DONE",
-                )
-            if bundle.func_id._value != self._prev_func_id:
-                self._record(
-                    cycle,
-                    "func_id_stability",
-                    "FUNC_ID changed while DATA_IN_VALID was held waiting for IO_DONE",
-                )
-
-        if bundle.data_out_valid._value and not bundle.io_done._value and self.variant is ProtocolVariant.PSEUDO_ASYNCHRONOUS:
-            # Figure 4.3: DATA_OUT_VALID and IO_DONE rise together on reads.
-            self._record(
-                cycle,
-                "read_handshake",
-                "DATA_OUT_VALID asserted without IO_DONE on a pseudo-asynchronous interface",
-            )
-
-        self._prev_io_enable = io_enable
-        self._prev_valid = bundle.data_in_valid._value
-        self._prev_data_in = bundle.data_in._value
-        self._prev_func_id = bundle.func_id._value
 
     def _record(self, cycle: int, rule: str, detail: str) -> None:
         self.violations.append(ProtocolViolation(cycle=cycle, rule=rule, detail=detail))
-
-    # -- compiled-kernel fusion --------------------------------------------
-
-    def _fused_state(self) -> list:
-        """Mutable check state shared by every compiled freeze of this monitor.
-
-        Layout: [prev_io_enable, io_enable_run, prev_valid, prev_data_in,
-        prev_func_id, prev_data_out_valid] — the rolling state
-        :meth:`sample` keeps in scalar attributes (plus the last observed
-        ``DATA_OUT_VALID``, which the event gate needs).  Seeded from those
-        attributes on first use and reused across recompiles, so a design
-        that re-freezes mid-run resumes with consistent history.
-        """
-        if self._fused_state_list is None:
-            self._fused_state_list = [
-                self._prev_io_enable,
-                self._io_enable_run,
-                self._prev_valid,
-                self._prev_data_in,
-                self._prev_func_id,
-                0,
-            ]
-        return self._fused_state_list
-
-    def emit_compiled_monitor(self, prefix: str) -> dict:
-        """Fusion hook for :class:`repro.rtl.compile.CompiledSimulator`.
-
-        Returns a dict describing source the generated step loop inlines in
-        place of calling :meth:`sample` every cycle:
-
-        * ``entry`` / ``exit`` — lines run once per generated-function call,
-          loading the rolling check state into locals and writing it back,
-        * ``body`` — the per-cycle checks: same five rules, same order, same
-          rule names and detail strings, reading the same signal slots and
-          recording through :meth:`_record`, so the ``violations`` list is
-          element-for-element identical to the scan kernels',
-        * ``gate_signals`` / ``hot`` — the *event gate*: the body may be
-          skipped on any cycle where none of ``gate_signals`` changed and
-          the ``hot`` expression (over the state locals) is false.  With all
-          strobes low, previous strobes low, and inputs unchanged, every
-          check is vacuous and every state update idempotent, so the skip is
-          a provable no-op — this is what removes the per-cycle monitor cost
-          from quiet cycles entirely.
-
-        ``cyc`` in the generated loop is the post-increment cycle number, the
-        same value :meth:`sample` reads from the attached simulator.
-        """
-        bundle = self.bundle
-        p = prefix
-        namespace = {
-            f"{p}_ST": self._fused_state(),
-            f"{p}_IOEN": bundle.io_enable,
-            f"{p}_DIV": bundle.data_in_valid,
-            f"{p}_DIN": bundle.data_in,
-            f"{p}_FID": bundle.func_id,
-            f"{p}_IOD": bundle.io_done,
-            f"{p}_DOV": bundle.data_out_valid,
-            f"{p}_REC": self._record,
-        }
-        entry = [
-            f"{p}_ioen = {p}_IOEN; {p}_div = {p}_DIV; {p}_din = {p}_DIN",
-            f"{p}_fid = {p}_FID; {p}_iod = {p}_IOD; {p}_dov = {p}_DOV; {p}_rec = {p}_REC",
-            f"{p}_s0, {p}_s1, {p}_s2, {p}_s3, {p}_s4, {p}_s5 = {p}_ST",
-        ]
-        exit_ = [
-            f"{p}_ST[0] = {p}_s0; {p}_ST[1] = {p}_s1; {p}_ST[2] = {p}_s2",
-            f"{p}_ST[3] = {p}_s3; {p}_ST[4] = {p}_s4; {p}_ST[5] = {p}_s5",
-        ]
-        pseudo = self.variant is ProtocolVariant.PSEUDO_ASYNCHRONOUS
-        body = [
-            f"{p}_e = {p}_ioen._value",
-            f"{p}_v = {p}_div._value",
-            f"if {p}_e and {p}_s0:",
-            f"    {p}_s1 += 1",
-            f"    if {p}_s1 >= 2:",
-            f'        {p}_rec(cyc, "io_enable_strobe", "IO_ENABLE held high for more than one request cycle without a new request")',
-            f"else:",
-            f"    {p}_s1 = 0",
-            f"if {p}_e and {p}_v and {p}_fid._value == 0:",
-            f'    {p}_rec(cyc, "status_register_write", "write presented to function id 0, which is reserved for the CALC_DONE status register")',
-        ]
-        if pseudo:
-            body += [
-                f"if {p}_s2 and {p}_v and not {p}_iod._value:",
-                f"    if {p}_din._value != {p}_s3:",
-                f'        {p}_rec(cyc, "data_in_stability", "DATA_IN changed while DATA_IN_VALID was held waiting for IO_DONE")',
-                f"    if {p}_fid._value != {p}_s4:",
-                f'        {p}_rec(cyc, "func_id_stability", "FUNC_ID changed while DATA_IN_VALID was held waiting for IO_DONE")',
-                f"{p}_d = {p}_dov._value",
-                f"if {p}_d and not {p}_iod._value:",
-                f'    {p}_rec(cyc, "read_handshake", "DATA_OUT_VALID asserted without IO_DONE on a pseudo-asynchronous interface")',
-                f"{p}_s5 = {p}_d",
-            ]
-        body += [
-            f"{p}_s0 = {p}_e",
-            f"{p}_s2 = {p}_v",
-            f"{p}_s3 = {p}_din._value",
-            f"{p}_s4 = {p}_fid._value",
-        ]
-        # Gate: the checks must observe every change of the signals they
-        # compare (strobes, payload, function id), plus every cycle in the
-        # two *held-strobe* states where a record can repeat without any
-        # change (IO_ENABLE held -> s0; DATA_OUT_VALID held -> s5).  IO_DONE
-        # needs no bit: it only ever suppresses records, and the held-DOV
-        # case that reads it across cycles keeps the monitor hot via s5.
-        gate_signals = [bundle.io_enable, bundle.data_in_valid]
-        hot = f"{p}_s0"
-        if pseudo:
-            gate_signals += [bundle.data_out_valid, bundle.data_in, bundle.func_id]
-            hot += f" or {p}_s5"
-        return {
-            "entry": entry,
-            "body": body,
-            "exit": exit_,
-            "namespace": namespace,
-            "gate_signals": gate_signals,
-            "hot": hot,
-        }
 
     # -- reporting ---------------------------------------------------------
 

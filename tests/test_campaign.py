@@ -280,6 +280,17 @@ class TestMakeExecutor:
         with pytest.raises(ValueError):
             make_executor(-2)
 
+    def test_one_rule_for_every_worker_count(self):
+        """Batch executors and the service resolve worker counts with the
+        same function, so a negative count is rejected everywhere."""
+        from repro import service
+        from repro.campaign.executor import resolve_workers
+
+        assert service.resolve_workers is resolve_workers
+        assert ShardedExecutor(workers=0).workers == resolve_workers(0)
+        with pytest.raises(ValueError):
+            ShardedExecutor(workers=-3)
+
 
 class TestWorkerCrashIsolation:
     @pytest.mark.skipif(

@@ -310,7 +310,7 @@ _PING_SPEC = (
 #: kernel="compiled")``, taken before the entry points were split apart.
 #: It proves the per-cycle code is unchanged; update it deliberately when
 #: the code generator changes.
-_SPLICE_PLB_SOURCE_SHA256 = "4379da294bea297f2fae3f49f9c9a8710ecb7ec19f3aed929012cf2f4a27e540"
+_SPLICE_PLB_SOURCE_SHA256 = "6171c13901f64d44eaddf44761e2113d92e5cce841a5a882139b54c5f0594651"
 
 
 class TestFirstCallCompilation:

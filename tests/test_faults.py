@@ -440,6 +440,33 @@ class TestCampaignFaultAxis:
         assert by_label["splice_plb"].error is None
         assert "faults_unsupported" in by_label["simple_plb"].error
 
+    def test_error_rows_identical_serial_sharded_served(self, tmp_path):
+        """A failed cell's row depends only on the cell: the serial run (the
+        faulted FCB cell after its clean sibling on one runner), the sharded
+        run (the faulted cell alone in its shard) and a farm job agree."""
+        from repro.service import SimulationFarm
+
+        spec = CampaignSpec(
+            implementations=("simple_plb", "splice_plb", "splice_fcb"),
+            scenarios=SCENARIOS[:1],
+            faults=(None, "stuck_at_1:IO_ENABLE:40:3:*"),
+            kernel="compiled",
+            name="fault-error-rows",
+        )
+        serial = run_campaign(spec, executor=SerialExecutor()).payload()
+        sharded = run_campaign(spec, executor=ShardedExecutor(workers=2)).payload()
+        with SimulationFarm(workers=2, cache=tmp_path / "cache") as farm:
+            job = farm.submit(spec)
+            job.wait(timeout=120)
+            served = job.result().payload()
+        errors = {row["label"]: row["error"] for row in serial if "error" in row}
+        assert errors["simple_plb"].startswith("faults_unsupported: runner 'simple_plb'")
+        assert errors["splice_fcb"].startswith(
+            "cell_exception: fault schedule 'stuck_at_1:IO_ENABLE:40:3:*': SimulationError"
+        )
+        assert sharded == serial
+        assert served == serial
+
     def test_executor_reapplies_schedules_on_a_shared_runner(self):
         """Serial execution reuses one warm runner per label: interleaved
         clean and faulted cells must each see their own schedule state."""

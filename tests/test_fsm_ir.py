@@ -11,6 +11,7 @@ the interpreter, with and without a native bus reset.  The lowering memo is
 checked against fresh emission on the paper grid.
 """
 
+import random
 from contextlib import contextmanager
 
 import pytest
@@ -18,11 +19,13 @@ import pytest
 from repro.devices.baselines import build_naive_plb_system, build_optimized_fcb_system
 from repro.devices.interpolator import build_splice_interpolator, interpolate_fixed_point
 from repro.evaluation.scenarios import SCENARIOS
+from repro.faults import FaultController, sis_targets
 from repro.rtl import (
     BoundFsm,
     CompiledSimulator,
     FsmError,
     FsmSpec,
+    ReferenceSimulator,
     Simulator,
     TraceRecorder,
     detect_drive_conflicts,
@@ -30,6 +33,7 @@ from repro.rtl import (
 from repro.rtl.fsm import (
     LOWERED_MEMO_SIZE,
     Active,
+    Call,
     Drive,
     Exec,
     Goto,
@@ -39,6 +43,7 @@ from repro.rtl.fsm import (
     StateDispatch,
 )
 from repro.rtl.module import Module
+from repro.sis import ProtocolVariant, SISBundle, SISProtocolMonitor
 
 
 def _clocked_spec(**overrides):
@@ -356,10 +361,11 @@ class TestLoweringMemo:
 def _interpreted_machines():
     """Build systems whose machines run the IR's tree-walking interpreter.
 
-    Every process registered as a :attr:`BoundFsm.tick` is registered as
-    its :meth:`BoundFsm.tick_interpreted` instead.  The scan kernels then
-    call the interpreter, and the compiled kernel keeps it as a plain call
-    (it lowers only a machine's canonical ``tick``).
+    Every process registered as a :attr:`BoundFsm.tick` — a machine's
+    clocked or comb process, or a monitor — is registered as its
+    :meth:`BoundFsm.tick_interpreted` instead.  The scan kernels then call
+    the interpreter, and the compiled kernel keeps it as a plain call (it
+    lowers and fuses only a machine's canonical ``tick``).
     """
 
     def registering_interpreter(register):
@@ -374,6 +380,9 @@ def _interpreted_machines():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Module, "clocked", registering_interpreter(Module.clocked))
         patch.setattr(Module, "comb", registering_interpreter(Module.comb))
+        patch.setattr(
+            Simulator, "add_monitor", registering_interpreter(Simulator.add_monitor)
+        )
         yield
 
 
@@ -432,9 +441,10 @@ def _run_scenario_trace(build, kernel_factory, reset=False):
         if monitor is not None
         else None
     )
+    processes = [proc for proc, *_ in simulator._clocked_decls + simulator._comb_decls]
     machines = [
         proc
-        for proc, *_ in simulator._clocked_decls + simulator._comb_decls
+        for proc in processes + simulator._monitors
         if isinstance(getattr(proc, "__self__", None), BoundFsm)
     ]
     return recorder.trace.samples, (outcome, violations, simulator.cycle), machines
@@ -453,7 +463,8 @@ class TestInterpreterOracle:
     its lowered body (compiled kernel); the interpreted build runs the
     tree-walker, which shares no code with the emitter behind both.  The
     two must agree on every signal on every cycle, on the outcome (or the
-    error raised) and on the monitor's violations.
+    error raised) and on the monitor's violations.  The SIS protocol
+    monitor is a machine too, so a Splice build runs it interpreted.
     """
 
     def _compare(self, build, kernel, reset):
@@ -468,6 +479,8 @@ class TestInterpreterOracle:
         assert all(
             proc == proc.__self__.tick_interpreted for proc in oracle_machines
         )
+        monitors = [p for p in oracle_machines if p.__self__.spec.kind == "monitor"]
+        assert len(monitors) == (oracle_outcome[1] is not None)
         assert outcome == oracle_outcome
         assert trace == oracle_trace, "generated machines diverge from the interpreter"
         return outcome
@@ -485,3 +498,141 @@ class TestInterpreterOracle:
         _, _, cycles = self._compare(build, kernel, reset=True)
         # The reset landed mid-scenario: the run did not finish before it.
         assert cycles > _RESET_CYCLE + 1
+
+
+class TestMonitorSpec:
+    """The monitor kind admits only observer ops and a gate over its regs."""
+
+    def test_monitor_may_not_schedule(self):
+        with pytest.raises(FsmError, match="monitors may only Exec, If and Call"):
+            FsmSpec(name="m", kind="monitor", entry=(Schedule("x", "1"),),
+                    signals=("x",))
+
+    def test_gate_must_name_declared_signals(self):
+        with pytest.raises(FsmError, match="undeclared signal"):
+            FsmSpec(name="m", kind="monitor", entry=(Exec("r = 1"),),
+                    regs=("r",), gate=("x",))
+
+    def test_hot_may_read_only_regs(self):
+        with pytest.raises(FsmError, match="may\\s+read only the regs"):
+            FsmSpec(name="m", kind="monitor", entry=(Exec("r = 1"),),
+                    signals=("x",), regs=("r",), hot="r or x._value")
+
+    def test_regs_belong_to_monitors(self):
+        with pytest.raises(FsmError, match="belong to monitor specs"):
+            _clocked_spec(regs=("r",))
+
+    def test_gate_and_regs_change_the_fingerprint(self):
+        base = dict(name="m", kind="monitor", entry=(Exec("r = r + 1"),),
+                    signals=("x",), regs=("r",))
+        specs = [
+            FsmSpec(**base),
+            FsmSpec(**base, gate=("x",)),
+            FsmSpec(**base, hot="r"),
+            FsmSpec(**dict(base, regs=("r", "q"))),
+        ]
+        assert len({spec.fingerprint() for spec in specs}) == len(specs)
+
+    def test_regs_persist_across_a_recompile(self):
+        # A monitor counting cycles: its register must carry over when a
+        # registration invalidates the compiled program mid-run.
+        owner = Module("counter")
+        seen = []
+        spec = FsmSpec(
+            name="count", kind="monitor",
+            entry=(Exec("n += 1"), Call("note", "n")),
+            helpers=("note",), regs=("n",),
+        )
+        machine = BoundFsm(spec, owner, helpers={"note": seen.append})
+        sim = CompiledSimulator()
+        sim.register_module(owner)
+        sim.add_monitor(machine.tick)
+        sim.step(3)
+        sim.add_monitor(lambda: None)
+        sim.step(2)
+        assert sim.design.fused_monitors == 1
+        assert seen == [1, 2, 3, 4, 5]
+
+
+#: SIS wires the generated monitor stimulus drives, with their value range
+#: (small payload ranges so "unchanged" and function id 0 are common).
+_MONITOR_INPUTS = {
+    "io_enable": 2,
+    "data_in_valid": 2,
+    "data_in": 3,
+    "func_id": 3,
+    "io_done": 2,
+    "data_out_valid": 2,
+}
+_STIMULUS_CYCLES = 40
+
+
+def _monitor_stimulus(seed):
+    """A seeded random SIS sequence: ``(schedule, fault token)``.
+
+    Each cycle each wire changes with probability 1/4.  One window holds
+    ``IO_ENABLE`` high and one holds ``DATA_OUT_VALID`` high (the two
+    held-strobe states the event gate keeps hot), and a fault overrides
+    ``IO_DONE``, which is not a gate signal.
+    """
+    rng = random.Random(seed)
+    held = {}
+    for name in ("io_enable", "data_out_valid"):
+        start = rng.randrange(1, _STIMULUS_CYCLES - 8)
+        held[name] = range(start, start + rng.randrange(3, 8))
+    schedule = {}
+    for cycle in range(1, _STIMULUS_CYCLES):
+        changes = {}
+        for name, values in _MONITOR_INPUTS.items():
+            window = held.get(name)
+            if window is not None and cycle in window:
+                changes[name] = 1
+            elif window is not None and cycle == window.stop:
+                changes[name] = 0
+            elif rng.random() < 0.25:
+                changes[name] = rng.randrange(values)
+        schedule[cycle] = changes
+    kind = rng.choice(("stuck_at_0", "stuck_at_1", "bit_flip"))
+    fault = f"{kind}:IO_DONE:{rng.randrange(1, _STIMULUS_CYCLES)}:{rng.randrange(1, 4)}"
+    return schedule, fault
+
+
+def _monitor_violations(factory, variant, schedule, fault):
+    sim = factory()
+    bundle = SISBundle(data_width=8, func_id_width=3)
+    sim.add_signals(bundle.signals())
+    monitor = SISProtocolMonitor(bundle, variant=variant).attach(sim)
+
+    def stimulus():
+        for name, value in schedule.get(sim.cycle, {}).items():
+            getattr(bundle, name).next = value
+
+    sim.add_clocked(stimulus)
+    sim.inject_faults(FaultController(fault, sis_targets(bundle)))
+    sim.step(_STIMULUS_CYCLES + 2)
+    if factory is CompiledSimulator:
+        assert sim.design.fused_monitors == 1
+    return [(v.cycle, v.rule, v.detail) for v in monitor.violations]
+
+
+class TestMonitorStimulus:
+    """The monitor's generated tick (reference and event kernels), its
+    event-gated inline body (compiled kernel) and the interpreter record
+    identical violations on generated SIS sequences."""
+
+    @pytest.mark.parametrize("variant", list(ProtocolVariant))
+    def test_every_form_records_the_same_violations(self, variant):
+        rules = set()
+        for seed in range(300):
+            schedule, fault = _monitor_stimulus(seed)
+            with _interpreted_machines():
+                oracle = _monitor_violations(ReferenceSimulator, variant, schedule, fault)
+            for factory in (ReferenceSimulator, Simulator, CompiledSimulator):
+                got = _monitor_violations(factory, variant, schedule, fault)
+                assert got == oracle, (seed, factory.__name__, fault)
+            rules.update(rule for _, rule, _ in oracle)
+        expected = {"io_enable_strobe", "status_register_write"}
+        if variant is ProtocolVariant.PSEUDO_ASYNCHRONOUS:
+            expected |= {"data_in_stability", "func_id_stability", "read_handshake"}
+        assert rules == expected
+

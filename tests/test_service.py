@@ -57,6 +57,13 @@ class _SlowRunner:
         return {"result": 1, "cycles": 1, "transactions": 0}
 
 
+class _RaisingRunner:
+    """A clean cell whose simulation raises."""
+
+    def run_scenario(self, sets):
+        raise RuntimeError("boom")
+
+
 class _ExitingRunner:
     """Kills the whole worker process mid-shard (not an exception)."""
 
@@ -283,6 +290,28 @@ class TestFarm:
                 assert follow_up.wait(timeout=60) == DONE
         finally:
             _unregister("zz_exit")
+
+    @fork_only
+    def test_clean_cell_that_raises_becomes_an_error_row(self):
+        """A batch run aborts on a clean cell's exception; a served job
+        records it as a ``cell_exception`` row and serves the other cells."""
+        _register("zz_raise", _RaisingRunner)
+        try:
+            spec = CampaignSpec(
+                implementations=("splice_plb", "zz_raise"),
+                scenarios=SCENARIOS[:1],
+                name="raising",
+            )
+            with pytest.raises(RuntimeError, match="boom"):
+                run_campaign(spec)
+            with SimulationFarm(workers=1) as farm:
+                job = farm.submit(spec)
+                assert job.wait(timeout=60) == FAILED
+                rows = {cell.cell.label: cell for cell in job.result().cells}
+                assert rows["zz_raise"].error == "cell_exception: RuntimeError: boom"
+                assert rows["splice_plb"].error is None
+        finally:
+            _unregister("zz_raise")
 
 
 # ---------------------------------------------------------------------------
