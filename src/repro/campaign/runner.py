@@ -62,7 +62,14 @@ def run_campaign(
         executor = make_executor(workers)
     if isinstance(cache, (str, Path)):
         cache = ResultCache(cache)
+        try:
+            return _run(spec, executor, cache)
+        finally:
+            cache.close()
+    return _run(spec, executor, cache)
 
+
+def _run(spec: CampaignSpec, executor, cache: Optional[ResultCache]) -> CampaignResult:
     cells = spec.cells()
     started = time.perf_counter()
 

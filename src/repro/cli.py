@@ -619,7 +619,11 @@ def _campaign_run(args) -> int:
         except OSError as exc:
             print(f"splice: cannot use cache directory {args.cache_dir!r}: {exc}", file=sys.stderr)
             return 2
-    result = run_campaign(spec, workers=args.workers, cache=cache)
+    try:
+        result = run_campaign(spec, workers=args.workers, cache=cache)
+    finally:
+        if cache is not None:
+            cache.close()
     meta = result.meta
     print(
         f"Campaign {spec.name!r}: {meta['cells_total']} cells "

@@ -2,11 +2,13 @@
 
 A session spends a *budget* of generated cases against the differential
 oracle, in rounds.  Each round is one Hypothesis ``@given`` execution with
-an explicit derived seed and no example database, which makes the whole
-session a pure function of ``(seed, budget, profile, with_faults)``: the
-same inputs generate the same case tokens with the same verdicts on every
-platform, which is what lets CI assert "zero counterexamples at seed S" and
-lets a human replay finding N of session S exactly.
+an explicit derived seed and no example database, and draws only from
+Hypothesis's built-in constants (:func:`pin_generation`), which makes the
+whole session a pure function of ``(seed, budget, profile, with_faults)``:
+the same inputs generate the same case tokens with the same verdicts on
+every platform and in every process, whatever it has imported, which is
+what lets CI assert "zero counterexamples at seed S" and lets a human
+replay finding N of session S exactly.
 
 Failures never abort the session.  A failing case ends its round (Hypothesis
 shrinks it first), is minimised further by the domain-aware
@@ -21,8 +23,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Union
 
+import hypothesis
 from hypothesis import HealthCheck, Phase, Verbosity, given
 from hypothesis import seed as hyp_seed
 from hypothesis import settings as hyp_settings
@@ -126,6 +130,44 @@ class FuzzReport:
         return "\n".join(lines)
 
 
+@lru_cache(maxsize=None)
+def _builtin_constants_only():
+    """Hypothesis's local-constants hook once pinned: an empty pool."""
+    from hypothesis.internal.conjecture.providers import Constants
+
+    return Constants()
+
+
+def pin_generation() -> None:
+    """Make every session's cases a function of its inputs alone.
+
+    Hypothesis 6.1xx mixes literal constants from every loaded local module
+    into generation, so a session's case stream would depend on which
+    modules the process had imported (``splice fuzz run``, a farm worker and
+    an in-process caller would draw different cases for one seed) and on
+    every literal in them.  This replaces that pool with an empty one, so
+    every draw uses Hypothesis's built-in constants only.  The pin is
+    process-wide, because Hypothesis keeps the pool in module state, and
+    applying it again is free.  A Hypothesis without the hook raises
+    :class:`RuntimeError` rather than silently drawing another stream.
+    """
+    try:
+        from hypothesis.internal.conjecture import providers
+
+        hook = providers._get_local_constants
+        constants_cache = providers.CONSTANTS_CACHE.cache
+        _builtin_constants_only()
+    except (ImportError, AttributeError) as exc:
+        raise RuntimeError(
+            f"cannot pin fuzz case generation: Hypothesis {hypothesis.__version__} "
+            f"lacks the local-constants hook ({exc}); without it a session's "
+            "cases would depend on which modules the process has loaded"
+        ) from exc
+    if hook is not _builtin_constants_only:
+        providers._get_local_constants = _builtin_constants_only
+        constants_cache.clear()
+
+
 def _factories_for(kernel_factories, case: FuzzCase) -> Dict[str, Callable]:
     if kernel_factories is None:
         return default_kernel_factories(case)
@@ -197,6 +239,7 @@ def run_session(
     """
     if budget < 1:
         raise ValueError(f"fuzz budget must be >= 1, got {budget}")
+    pin_generation()
     prof = PROFILES[profile] if isinstance(profile, str) else profile
     report = FuzzReport(
         seed=seed, budget=budget, profile=prof.name, with_faults=with_faults

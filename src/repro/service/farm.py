@@ -289,6 +289,7 @@ class SimulationFarm:
         self._wake_writer.close()
         if self._journal is not None:
             self._journal.close()
+        self.cache.close()
         if self._ephemeral_cache_dir is not None:
             shutil.rmtree(self._ephemeral_cache_dir, ignore_errors=True)
 
@@ -1078,6 +1079,9 @@ class SimulationFarm:
 
     def stats(self) -> dict:
         """Queue depth, per-worker stats, utilization, cache hit rate."""
+        # Counted before taking the farm lock, which every submit and the
+        # dispatcher need: the count reads the whole store.
+        cache_entries = len(self.cache)
         with self._cond:
             worker_records = [w.snapshot() for w in self._workers]
             busy = sum(1 for w in self._workers if w.busy is not None)
@@ -1114,7 +1118,7 @@ class SimulationFarm:
                 "jobs_compact": len(self._retired),
                 "cells": dict(self.counters),
                 "cache_hit_rate": (cached / total) if total else None,
-                "cache_entries": len(self.cache),
+                "cache_entries": cache_entries,
                 "shard_size": self.shard_size,
                 "stuck_timeout_s": self.stuck_timeout_s,
                 "durable": self._journal is not None,

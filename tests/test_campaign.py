@@ -1,7 +1,10 @@
 """Tests for the campaign subsystem: specs, sweeps, executors, cache, CLI."""
 
 import json
+import multiprocessing
 import os
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.campaign import (
     run_campaign,
     sweep_grid,
 )
+from repro.campaign.cache import DAMAGED_FILENAME, STORE_FILENAME
 from repro.campaign.executor import execute_cells
 from repro.devices.registry import build_runner, known_labels, register_runner
 from repro.evaluation.scenarios import SCENARIOS, Scenario, scenario
@@ -358,6 +362,44 @@ class TestWorkerCrashIsolation:
         assert mixed.mean_cycles() == {"splice_plb": {cells[0].scenario.number: 2.0}}
 
 
+def _store(directory):
+    """A second connection to a cache directory's store, to damage it."""
+    return closing(sqlite3.connect(directory / STORE_FILENAME, isolation_level=None))
+
+
+def _set_entries(directory, text):
+    """Overwrite the entry text of every row in the store."""
+    with _store(directory) as store:
+        store.execute("UPDATE results SET entry = ?", (text,))
+
+
+def _cells(count):
+    return [CampaignCell("splice_plb", SCENARIOS[0], seed, 0) for seed in range(count)]
+
+
+def _outcome(cell):
+    return (cell.seed, 2 * cell.seed, 3 * cell.seed)
+
+
+def _use_inherited_cache(cache, seen, written):
+    """Forked child: read and write through the parent's cache object, then
+    close it, as an exiting worker might."""
+    assert cache.get(seen) == _outcome(seen)
+    cache.put(written, _outcome(written))
+    cache.close()
+
+
+def _put_all(directory, cells, start):
+    """One of two processes creating one store and writing overlapping
+    cells into it."""
+    start.wait(timeout=60)
+    cache = ResultCache(directory)
+    for _ in range(2):
+        for cell in cells:
+            cache.put(cell, _outcome(cell))
+            assert cache.get(cell) == _outcome(cell)
+
+
 class TestCache:
     def test_warm_rerun_skips_every_cell(self, tmp_path):
         spec = CampaignSpec(implementations=("splice_plb",), scenarios=SCENARIOS[:2], seeds=(0, 1))
@@ -381,29 +423,33 @@ class TestCache:
         cell = CampaignCell("splice_plb", SCENARIOS[0], 0, 0)
         cache.put(cell, (1, 2, 3))
         assert cache.get(cell) == (1, 2, 3)
-        (tmp_path / f"{cell_digest(cell)}.json").write_text("not json")
+        _set_entries(tmp_path, "not json")
         assert cache.get(cell) is None
 
     def test_truncated_and_malformed_entries_are_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         cell = CampaignCell("splice_plb", SCENARIOS[0], 0, 0)
-        path = cache.put(cell, (1, 2, 3))
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])  # torn write / partial copy
+        cache.put(cell, (1, 2, 3))
+        with _store(tmp_path) as store:
+            (text,) = store.execute("SELECT entry FROM results").fetchone()
+        _set_entries(tmp_path, text[: len(text) // 2])  # torn write / partial copy
         assert cache.get(cell) is None
         # Valid JSON with the wrong shape is also a miss, never a crash.
-        path.write_text('{"outcome": "not-a-list"}')
+        _set_entries(tmp_path, '{"outcome": "not-a-list"}')
         assert cache.get(cell) is None
-        path.write_text('{"outcome": [1]}')
+        _set_entries(tmp_path, '{"outcome": [1]}')
         assert cache.get(cell) is None
+        # The next put overwrites the bad row.
+        cache.put(cell, (1, 2, 3))
+        assert cache.get(cell) == (1, 2, 3)
 
     def test_campaign_recovers_from_a_vandalised_cache(self, tmp_path):
-        """Corrupt every entry on disk: the next run degrades to recompute,
-        reproduces the cold payload bit-exactly, and heals the entries."""
+        """Corrupt every entry in the store: the next run degrades to
+        recompute, reproduces the cold payload bit-exactly, and heals the
+        entries."""
         spec = CampaignSpec(implementations=("splice_plb",), scenarios=SCENARIOS[:2])
         cold = run_campaign(spec, cache=tmp_path / "cache")
-        for entry in (tmp_path / "cache").glob("*.json"):
-            entry.write_text("\x00garbage")
+        _set_entries(tmp_path / "cache", "\x00garbage")
         healed = run_campaign(spec, cache=tmp_path / "cache")
         assert healed.meta["cells_cached"] == 0
         assert healed.payload() == cold.payload()
@@ -416,6 +462,78 @@ class TestCache:
         warm = run_campaign(spec, workers=1, cache=tmp_path / "cache")
         assert warm.meta["cells_cached"] == spec.cell_count
         assert warm.payload() == cold.payload()
+
+
+class TestResultStore:
+    """The store behind :class:`ResultCache`: one SQLite file per directory."""
+
+    def test_many_puts_leave_only_the_store_files(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cells = _cells(500)
+        for cell in cells:
+            cache.put(cell, _outcome(cell))
+        assert len(cache) == 500
+        assert len(list(tmp_path.iterdir())) <= 4
+        assert cache.get(cells[-1]) == _outcome(cells[-1])
+
+    def test_forked_child_leaves_the_parents_store_usable(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        seen, written, later = _cells(3)
+        cache.put(seen, _outcome(seen))
+        child = multiprocessing.get_context("fork").Process(
+            target=_use_inherited_cache, args=(cache, seen, written))
+        child.start()
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+        assert cache.get(seen) == _outcome(seen)
+        assert cache.get(written) == _outcome(written)
+        cache.put(later, _outcome(later))
+        assert cache.get(later) == _outcome(later)
+        with _store(tmp_path) as store:
+            assert store.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+
+    def test_two_processes_put_overlapping_cells(self, tmp_path):
+        cells = _cells(120)
+        for cell in cells:
+            cell_digest(cell)  # once, before the children inherit the memo
+        ctx = multiprocessing.get_context("fork")
+        # Each round starts from no store at all: creating one races too.
+        for round_index in range(8):
+            directory = tmp_path / str(round_index)
+            start = ctx.Event()
+            writers = [ctx.Process(target=_put_all, args=(directory, part, start))
+                       for part in (cells[:80], cells[40:])]
+            for writer in writers:
+                writer.start()
+            start.set()
+            for writer in writers:
+                writer.join(timeout=120)
+            assert [writer.exitcode for writer in writers] == [0, 0]
+            cache = ResultCache(directory)
+            assert len(cache) == len(cells)
+            assert [cache.get(cell) for cell in cells] == [_outcome(cell) for cell in cells]
+            cache.close()
+
+    def test_garbage_store_file_degrades_to_recompute(self, tmp_path):
+        spec = CampaignSpec(implementations=("splice_plb",), scenarios=SCENARIOS[:2])
+        cold = run_campaign(spec, cache=tmp_path)
+        (tmp_path / STORE_FILENAME).write_bytes(b"\x00garbage" * 512)
+        healed = run_campaign(spec, cache=tmp_path)
+        assert healed.meta["cells_cached"] == 0
+        assert healed.payload() == cold.payload()
+        assert (tmp_path / DAMAGED_FILENAME).exists()
+        warm = run_campaign(spec, cache=tmp_path)
+        assert warm.meta["cells_cached"] == spec.cell_count
+
+    def test_unusable_store_path_raises_oserror(self, tmp_path, capsys):
+        (tmp_path / STORE_FILENAME).mkdir()
+        with pytest.raises(OSError):
+            ResultCache(tmp_path)
+        from repro.cli import main
+
+        assert main(["campaign", "run", "--implementations", "splice_plb",
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert "cannot use cache directory" in capsys.readouterr().err
 
 
 class TestResultArtifacts:

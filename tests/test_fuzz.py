@@ -10,6 +10,10 @@ synthesize one counterexample per verdict kind so the corpus round-trip
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +302,41 @@ class TestSessionContainment:
             ce.token for ce in second.counterexamples
         ]
         assert first.exit_code == second.exit_code == 0
+
+    def test_case_stream_does_not_depend_on_loaded_modules(self):
+        """One session in three fresh processes that imported different parts
+        of the package first: one case-token stream.  Hypothesis would
+        otherwise mix every loaded module's literals into generation."""
+        script = (
+            "import hashlib, importlib, sys\n"
+            "for name in sys.argv[1:]:\n"
+            "    importlib.import_module(name)\n"
+            "from repro.fuzz.session import run_session\n"
+            "tokens = run_session(30, 7, profile='quick').case_tokens\n"
+            "print(len(tokens), hashlib.sha256(' '.join(tokens).encode()).hexdigest())\n"
+        )
+        env = dict(os.environ)
+        repo_src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script, *imports], env=env, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for imports in ((), ("repro.service",), ("repro.cli",))
+        ]
+        digests = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            digests.append(out.strip())
+        assert digests[0].startswith("30 ")
+        assert digests == [digests[0]] * 3
+
+    def test_generation_pin_fails_loudly_without_the_hypothesis_hook(self, monkeypatch):
+        from hypothesis.internal.conjecture import providers
+
+        monkeypatch.delattr(providers, "_get_local_constants")
+        with pytest.raises(RuntimeError, match="local-constants hook"):
+            run_session(1, 0, corpus_dir=None)
 
 
 class TestCorpusRoundTrip:

@@ -11,7 +11,7 @@ uninterrupted run.
 Three layers of tests:
 
 * journal unit semantics (append/replay/compaction, torn-tail tolerance),
-* atomic cache writes under concurrent writers (the property recovery's
+* whole-row cache writes under concurrent writers (the property recovery's
   zero-re-execution guarantee leans on),
 * whole-process recovery: in-process farm restarts, and real ``SIGKILL`` of
   a ``splice serve`` subprocess mid-campaign and mid-fuzz-job.
@@ -31,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignSpec, ScenarioSweep, run_campaign, sweep_grid
-from repro.campaign.cache import ResultCache, cell_digest
+from repro.campaign.cache import STORE_FILENAME, ResultCache
 from repro.evaluation.scenarios import SCENARIOS
 from repro.service import (
     DONE,
@@ -164,31 +164,23 @@ class TestJournal:
 
 class TestAtomicCacheWrites:
     def test_concurrent_writers_never_publish_a_torn_entry(self, tmp_path):
-        """Many threads hammering the same cell digest while readers poll:
-        every observed file state is complete, valid JSON with the right
-        outcome.  (Temp names are per-writer-unique, so the only shared
-        step is the atomic rename.)"""
+        """Many threads hammering the same cell digest while a reader polls:
+        every read after the first put returns the complete outcome."""
         cache = ResultCache(tmp_path / "cache")
         spec = small_spec(name="atomic")
         cell = spec.cells()[0]
         stop = threading.Event()
-        torn = []
+        seen = []
 
         def writer():
             while not stop.is_set():
                 cache.put(cell, (1, 2, 3))
 
         def reader():
-            digest = cell_digest(cell)
-            path = cache.directory / f"{digest}.json"
             while not stop.is_set():
-                if path.exists():
-                    try:
-                        data = json.loads(path.read_text())
-                        if data["outcome"] != [1, 2, 3]:
-                            torn.append(data)
-                    except ValueError as exc:
-                        torn.append(exc)
+                outcome = cache.get(cell)
+                if outcome is not None or seen:
+                    seen.append(outcome)
 
         threads = [threading.Thread(target=writer) for _ in range(4)]
         threads.append(threading.Thread(target=reader))
@@ -198,10 +190,13 @@ class TestAtomicCacheWrites:
         stop.set()
         for thread in threads:
             thread.join(timeout=10)
-        assert torn == []
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen, "the reader never saw the entry"
+        assert set(seen) == {(1, 2, 3)}
         assert cache.get(cell) == (1, 2, 3)
-        # No temp litter left behind for the entry glob to trip on.
-        assert list(cache.directory.glob(".*.tmp")) == []
+        # Nothing but the store's own files.
+        assert {path.name for path in cache.directory.iterdir()} <= {
+            STORE_FILENAME, STORE_FILENAME + "-wal", STORE_FILENAME + "-shm"}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ cache short-circuit, and worker-crash fault isolation.
 """
 
 import multiprocessing
+import sqlite3
 import time
+from contextlib import closing
 
 import pytest
 
@@ -1081,8 +1083,8 @@ class TestRetention:
         job = client.submit(spec)
         client.wait(job["id"], timeout=60)
         _push_out(farm, spec, 2)
-        for entry in farm.cache.directory.glob("*.json"):
-            entry.write_text("{ torn")
+        with closing(sqlite3.connect(farm.cache.path, isolation_level=None)) as store:
+            store.execute("DELETE FROM results")
         code, body = _raw_get(client, f"/jobs/{job['id']}/result")
         assert code == 410
         assert "no longer in the result cache" in body["error"]
