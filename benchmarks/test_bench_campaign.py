@@ -26,7 +26,6 @@ from conftest import record_history
 from repro.campaign import (
     ScenarioSweep,
     SerialExecutor,
-    ShardedExecutor,
     run_campaign,
     sweep_grid,
 )
@@ -58,7 +57,7 @@ def test_campaign_serial_vs_sharded_vs_cached(benchmark, once, tmp_path):
     # and the field was nulled anyway.  Skip the timing outright and say so.
     if host_cpus >= 2:
         start = time.perf_counter()
-        sharded = run_campaign(spec, executor=ShardedExecutor(workers=_WORKERS))
+        sharded = run_campaign(spec, workers=_WORKERS)
         sharded_s = time.perf_counter() - start
         assert sharded.payload() == serial.payload()
         sharded_field = round(sharded_s, 4)

@@ -4,8 +4,9 @@ and rendered to a markdown report.
 
 The paper's evaluation is a fixed 5x4 grid.  The campaign subsystem makes
 the grid declarative: describe implementations x scenarios x seeds x repeats
-as a :class:`~repro.campaign.spec.CampaignSpec`, pick an executor (serial or
-process-sharded), point it at a result cache, and write report artifacts.
+as a :class:`~repro.campaign.spec.CampaignSpec`, pick a worker count (one
+runs serially; more run on a farm of worker processes started for the run),
+point it at a result cache, and write report artifacts.
 
 Run from the repository root::
 
@@ -43,8 +44,8 @@ def main() -> None:
           f"({len(spec.implementations)} implementations x "
           f"{len(spec.scenarios)} scenarios x {len(spec.seeds)} seeds)")
 
-    # 2. Run it sharded across worker processes, with a content-addressed
-    #    cache: a second invocation of this script skips every cell.
+    # 2. Run it across worker processes, with a content-addressed cache: a
+    #    second invocation of this script skips every cell.
     cache_dir = Path(".campaign-cache")
     result = run_campaign(spec, workers=os.cpu_count() or 1, cache=cache_dir)
     meta = result.meta

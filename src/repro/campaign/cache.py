@@ -37,7 +37,7 @@ import threading
 import time
 from functools import lru_cache
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import repro
 from repro.campaign.spec import CampaignCell
@@ -159,9 +159,10 @@ class ResultCache:
 
     Each process uses one connection, shared by its threads behind a lock.
     The creating process opens it at once, so an unusable directory raises
-    :class:`OSError` here.  A forked child (a farm worker, a pool worker)
-    opens its own on first use: it never uses or closes the connection it
-    inherited, whose locks and write-ahead-log index belong to the parent.
+    :class:`OSError` here.  A forked child (a farm worker, or any process
+    forked while the cache was open) opens its own on first use: it never
+    uses or closes the connection it inherited, whose locks and
+    write-ahead-log index belong to the parent.
     """
 
     def __init__(self, directory: Path) -> None:
@@ -200,8 +201,9 @@ class ResultCache:
     def program_cache_dir(self) -> Path:
         """Directory for the compiled kernel's persistent program cache.
 
-        ``run_campaign`` exports this via
-        :data:`repro.rtl.compile.PROGRAM_CACHE_ENV` so every worker's
+        A serial ``run_campaign`` exports this via
+        :data:`repro.rtl.compile.PROGRAM_CACHE_ENV`, and a farm hands it to
+        each of its workers, so every
         :class:`~repro.rtl.compile.CompiledSimulator` reuses levelization +
         codegen for identical design topologies instead of redoing them per
         process.  Program entries carry their own compiler fingerprint in
@@ -226,6 +228,15 @@ class ResultCache:
             return (int(outcome[0]), int(outcome[1]), int(outcome[2]))
         except (ValueError, KeyError, IndexError, TypeError):
             return None  # corrupt entry: treat as a miss and overwrite later
+
+    def lookup(self, cells: Iterable[CampaignCell]) -> Dict[tuple, Tuple[int, int, int]]:
+        """The cached outcome of each of ``cells`` that has one, by ``cell.key``."""
+        found = {}
+        for cell in cells:
+            outcome = self.get(cell)
+            if outcome is not None:
+                found[cell.key] = outcome
+        return found
 
     def put(self, cell: CampaignCell, outcome: Tuple[int, int, int]) -> None:
         """Persist ``outcome``; it is committed when this returns."""

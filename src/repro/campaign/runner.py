@@ -1,9 +1,16 @@
-"""Campaign orchestration: cache lookup → executor → aggregated result.
+"""Campaign orchestration: cache lookup → execution → aggregated result.
 
 :func:`run_campaign` is the one-call path: expand the spec's grid, satisfy
-what it can from the result cache, ship the remaining cells to the chosen
-executor, persist fresh outcomes back to the cache, and aggregate everything
-into a :class:`~repro.campaign.result.CampaignResult`.
+what it can from the result cache, run the remaining cells, persist fresh
+outcomes back to the cache as each one lands, and aggregate everything into
+a :class:`~repro.campaign.result.CampaignResult`.
+
+The remaining cells run in this process (an explicit ``executor``, or one
+worker) or on a :class:`~repro.service.farm.SimulationFarm` started for the
+run alone — the warm workers, stuck-worker watchdog and crash policy of
+``splice serve``, with no HTTP server and no state directory.  The farm is
+imported only when one is started, so a serial run never loads
+:mod:`repro.service`.
 """
 
 from __future__ import annotations
@@ -12,23 +19,26 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.executor import CellError, CellOutcome, SerialExecutor, make_executor
-from repro.campaign.result import CampaignResult, CellResult, cell_result
-from repro.campaign.spec import CampaignCell, CampaignSpec
+from repro.campaign.executor import CellError, CellOutcome, SerialExecutor, resolve_workers
+from repro.campaign.result import CampaignResult, cell_result
+from repro.campaign.spec import CampaignSpec
 from repro.rtl.compile import PROGRAM_CACHE_ENV
+
+Outcomes = Dict[tuple, Union[CellOutcome, CellError]]
 
 
 @contextmanager
 def _program_cache_env(cache: Optional[ResultCache]):
     """Point compiled-kernel program caching at the campaign cache directory.
 
-    Exported through the environment so it reaches sharded-executor worker
-    processes (inherited under both fork and spawn); restored afterwards so
-    an un-cached campaign in the same process does not silently keep writing
-    into a stale directory.
+    Exported through the environment because that is where every
+    :class:`~repro.rtl.compile.CompiledSimulator` this process builds looks
+    for it; only the in-process path needs this (a farm hands the directory
+    to its workers itself).  Restored afterwards so an un-cached campaign in
+    the same process does not silently keep writing into a stale directory.
     """
     if cache is None:
         yield
@@ -53,54 +63,52 @@ def run_campaign(
 ) -> CampaignResult:
     """Run every cell of ``spec`` and aggregate the outcomes.
 
-    ``executor`` wins over ``workers``; with neither, the run is serial.
-    ``cache`` may be a :class:`ResultCache` or a directory path; cached
-    cells are never executed (their stored outcome is trusted — the content
-    address covers the inputs and the kernel sources).
+    ``executor`` wins over ``workers``.  Without one, ``workers`` resolves
+    through :func:`~repro.campaign.executor.resolve_workers`: one worker
+    runs serially in this process; more start a farm for this run, with
+    no more workers than there are uncached cells, that is stopped before
+    this returns or raises.  ``cache`` may be a :class:`ResultCache` or a
+    directory path; cached cells are never executed (their stored outcome
+    is trusted — the content address covers the inputs and the kernel
+    sources), and a run with every cell cached starts no process.
+
+    A clean cell whose runner raises fails the run once every other cell
+    has finished and been persisted: serially with the runner's own
+    exception, on a farm with :class:`RuntimeError`.
     """
     if executor is None:
-        executor = make_executor(workers)
+        workers = resolve_workers(workers)
+        if workers <= 1:
+            executor = SerialExecutor()
     if isinstance(cache, (str, Path)):
         cache = ResultCache(cache)
         try:
-            return _run(spec, executor, cache)
+            return _run(spec, executor, workers, cache)
         finally:
             cache.close()
-    return _run(spec, executor, cache)
+    return _run(spec, executor, workers, cache)
 
 
-def _run(spec: CampaignSpec, executor, cache: Optional[ResultCache]) -> CampaignResult:
+def _run(spec: CampaignSpec, executor, workers: int,
+         cache: Optional[ResultCache]) -> CampaignResult:
     cells = spec.cells()
     started = time.perf_counter()
 
-    cached: Dict[tuple, CellOutcome] = {}
-    pending = []
-    if cache is not None:
-        for cell in cells:
-            outcome = cache.get(cell)
-            if outcome is None:
-                pending.append(cell)
-            else:
-                cached[cell.key] = outcome
+    cached = {} if cache is None else cache.lookup(cells)
+    pending = [cell for cell in cells if cell.key not in cached]
+    fresh: Outcomes = {}
+    if executor is None:
+        name = "farm"
+        if pending:
+            cached, fresh = _run_on_farm(spec, min(workers, len(pending)), cache)
     else:
-        pending = list(cells)
-
-    fresh: Dict[tuple, CellOutcome] = {}
-    if pending:
-        # Persist outcomes as they land (per cell serially, per shard when
-        # sharded), so an interrupted campaign resumes from what it finished.
-        # CellError records are never persisted: a worker crash says nothing
-        # about what the outcome would have been.
-        on_result = None
-        if cache is not None:
-            def on_result(cell, outcome, _put=cache.put):
-                if not isinstance(outcome, CellError):
-                    _put(cell, outcome)
-        with _program_cache_env(cache):
-            fresh = executor.execute(pending, on_result)
-        missing = [cell.key for cell in pending if cell.key not in fresh]
-        if missing:
-            raise RuntimeError(f"executor returned no outcome for cells: {missing[:5]}")
+        name = getattr(executor, "name", type(executor).__name__)
+        workers = getattr(executor, "workers", 1)
+        if pending:
+            fresh = _execute(executor, pending, cache)
+    missing = [cell.key for cell in cells if cell.key not in cached and cell.key not in fresh]
+    if missing:
+        raise RuntimeError(f"executor returned no outcome for cells: {missing[:5]}")
 
     elapsed = time.perf_counter() - started
     results = [
@@ -113,15 +121,55 @@ def _run(spec: CampaignSpec, executor, cache: Optional[ResultCache]) -> Campaign
         spec=spec,
         cells=results,
         meta={
-            "executor": getattr(executor, "name", type(executor).__name__),
-            "workers": getattr(executor, "workers", 1),
+            "executor": name,
+            "workers": workers,
             "elapsed_s": round(elapsed, 6),
             "cells_total": len(cells),
             "cells_cached": len(cached),
-            "cells_executed": len(pending),
+            "cells_executed": len(cells) - len(cached),
             "cells_failed": failed,
             "simulated_cycles": total_cycles,
             "simulated_cycles_per_s": round(total_cycles / elapsed, 1) if elapsed > 0 else 0.0,
             "spec_fingerprint": spec.fingerprint(),
         },
     )
+
+
+def _execute(executor, pending, cache: Optional[ResultCache]) -> Outcomes:
+    """Run ``pending`` through ``executor`` in this process."""
+    # Persist outcomes as they land, so an interrupted campaign resumes from
+    # what it finished.  CellError records are never persisted: a failure
+    # says nothing about what the outcome would have been.
+    on_result = None
+    if cache is not None:
+        def on_result(cell, outcome, _put=cache.put):
+            if not isinstance(outcome, CellError):
+                _put(cell, outcome)
+    with _program_cache_env(cache):
+        return executor.execute(pending, on_result)
+
+
+def _run_on_farm(spec: CampaignSpec, workers: int,
+                 cache: Optional[ResultCache]) -> Tuple[Dict[tuple, CellOutcome], Outcomes]:
+    """Run ``spec`` as the one job of a farm of ``workers`` started for it.
+
+    The farm answers the cells ``cache`` holds (without a cache it keeps
+    its own, removed at stop) and persists every other cell's outcome as
+    it lands.  Returns the job's cached and freshly run outcomes, error
+    rows included.
+    """
+    from repro.service.farm import SimulationFarm
+
+    with SimulationFarm(workers, cache=cache) as farm:
+        job = farm.submit(spec)
+        job.wait()
+    for cell in job.cells:
+        error = job.errors.get(cell.key)
+        if error is not None and error.kind == "cell_exception" and cell.faults is None:
+            raise RuntimeError(
+                f"cell {cell.label}/s{cell.scenario.number}/seed{cell.seed}"
+                f"/r{cell.repeat} failed: {error.message}"
+            )
+    fresh: Outcomes = dict(job.fresh)
+    fresh.update(job.errors)
+    return job.cached, fresh

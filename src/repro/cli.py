@@ -15,9 +15,9 @@ Subcommands:
 
 ``splice campaign run``
     Run a declarative campaign grid (a preset, or implementations × a
-    parametric scenario sweep) serially or sharded across worker processes,
-    with an optional content-addressed result cache, and write
-    JSON/CSV/markdown artifacts.
+    parametric scenario sweep) serially or on a farm of worker processes
+    started for the run, with an optional content-addressed result cache,
+    and write JSON/CSV/markdown artifacts.
 
 ``splice campaign report <campaign.json>``
     Re-render a previously written campaign result as markdown, CSV or a
@@ -88,8 +88,8 @@ _KERNEL_CHOICES = tuple(sorted(KERNELS))
 
 def _workers_arg(value: str) -> int:
     """``--workers`` spelling: a positive count, or ``auto``/``0`` for one
-    worker per host CPU (resolved by :func:`repro.campaign.make_executor` /
-    :func:`repro.service.resolve_workers`)."""
+    worker per host CPU (resolved by
+    :func:`repro.campaign.executor.resolve_workers`)."""
     if value == "auto":
         return 0
     try:

@@ -31,9 +31,9 @@ def register_runner(label: str, builder: Callable[[], object], *, replace: bool 
 
     Builders must be importable module-level callables (or partials of them)
     so that worker processes can rebuild the runner from the label alone.
-    Note that a registration made at runtime only reaches sharded-executor
-    workers when processes are forked (Linux default); under the ``spawn``
-    start method, perform the registration in a module the workers import.
+    Note that a registration made at runtime only reaches farm workers when
+    processes are forked (Linux default); under the ``spawn`` start method,
+    perform the registration in a module the workers import.
     """
     if label in _BUILDERS and not replace:
         raise ValueError(f"runner label {label!r} is already registered")

@@ -21,6 +21,7 @@ only if counterexamples were found.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -128,6 +129,29 @@ class FuzzReport:
             for path in self.saved_paths:
                 lines.append(f"  saved {path}")
         return "\n".join(lines)
+
+
+def session_payload(report: FuzzReport) -> Dict[str, object]:
+    """The deterministic record of one session, as a farm fuzz job keeps,
+    journals and serves it per seed.
+
+    Every field is a function of the session's inputs alone, so a served, a
+    recovered and a local session compare equal.  ``tokens_sha256``, the
+    SHA-256 of the newline-joined case tokens, makes that comparison cover
+    the case stream itself, not only its counts and coverage.
+    """
+    return {
+        "seed": report.seed,
+        "budget": report.budget,
+        "profile": report.profile,
+        "with_faults": report.with_faults,
+        "executed": report.executed,
+        "rounds": report.rounds,
+        "coverage": list(report.coverage),
+        "counterexamples": [ce.describe() for ce in report.counterexamples],
+        "exit_code": report.exit_code,
+        "tokens_sha256": hashlib.sha256("\n".join(report.case_tokens).encode()).hexdigest(),
+    }
 
 
 @lru_cache(maxsize=None)

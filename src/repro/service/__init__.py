@@ -1,9 +1,9 @@
 """Campaign-as-a-service: a long-lived simulation farm.
 
 Where :mod:`repro.campaign` is strictly batch — every ``splice campaign
-run`` pays a fresh process pool, re-imports, re-elaborates, re-compiles,
-and exits — this package keeps everything warm and puts a queue and an HTTP
-API in front of it:
+run`` re-elaborates and re-compiles what it runs and exits, on a farm of
+its own when it has several workers — this package keeps a farm warm and
+puts a queue and an HTTP API in front of it:
 
 * :class:`~repro.service.farm.SimulationFarm` — persistent worker processes
   holding built runners and compiled programs resident across jobs, a

@@ -325,11 +325,7 @@ class SimulationFarm:
         # Cache lookups happen outside the lock: digesting a cell hashes its
         # generated inputs, which is pure CPU and must not serialise
         # concurrent submissions more than the GIL already does.
-        cached = {}
-        for cell in spec.cells():
-            outcome = self.cache.get(cell)
-            if outcome is not None:
-                cached[cell.key] = outcome
+        cached = self.cache.lookup(spec.cells())
 
         with self._cond:
             existing = self._idempotent(idempotency_key)
@@ -611,11 +607,7 @@ class SimulationFarm:
                 self._admit_fuzz(job, restored=record.sessions)
             return
         spec = CampaignSpec.from_dict(dict(record.payload))
-        cached = {}
-        for cell in spec.cells():
-            outcome = self.cache.get(cell)
-            if outcome is not None:
-                cached[cell.key] = outcome
+        cached = self.cache.lookup(spec.cells())
         with self._cond:
             job = Job(record.job_id, spec,
                       priority=record.priority, timeout_s=record.timeout_s,
@@ -1000,10 +992,11 @@ class SimulationFarm:
             if job.is_terminal:
                 continue
             if shard.attempts <= 1:
-                # One retry on the fresh worker — same policy as the batch
-                # ShardedExecutor.  Partial results the dead worker already
-                # reported are kept; re-running those cells overwrites them
-                # with identical values (cells are deterministic).
+                # One retry on the fresh worker: the crash policy of every
+                # multi-process run, served or batch.  Partial results the
+                # dead worker already reported are kept; re-running those
+                # cells overwrites them with identical values (cells are
+                # deterministic).
                 self.counters["shards_retried"] += 1
                 job.pending_shards.insert(0, shard)
                 self._queue.push(job)
@@ -1011,15 +1004,14 @@ class SimulationFarm:
                          worker=handle.worker_id, stuck=stuck)
             else:
                 cause = "worker_stuck" if stuck else "worker_crash"
-                detail = ("went heartbeat-silent running" if stuck
-                          else "died running")
+                # The row names neither the worker nor the shard, which
+                # depend on placement: a row depends only on its cell.  The
+                # shard_failed event below keeps both.
+                detail = "went heartbeat-silent" if stuck else "died"
                 error = CellError(
                     kind=cause,
-                    message=(
-                        f"worker {handle.worker_id} {detail} shard "
-                        f"{shard.shard_id} and the retry "
-                        f"{'went silent' if stuck else 'died'} too"
-                    ),
+                    message=(f"the worker process {detail} before it "
+                             "finished, and again on the retry"),
                 )
                 failed = 0
                 for cell in shard.cells:

@@ -1,11 +1,11 @@
 """Warm worker processes: runners stay resident across jobs.
 
-This is what separates the farm from ``splice campaign run``'s throwaway
-``ProcessPoolExecutor``: a worker process lives for the whole service
-lifetime, keeps every runner it has ever built in an in-process dictionary
-keyed by ``(label, kernel)``, and points the compiled kernel at the shared
-:class:`~repro.rtl.compile.CompiledProgramCache` directory — so after the
-first job touches an implementation, every later job pays neither spec
+A worker process lives as long as its farm: a ``splice serve`` lifetime,
+or one multi-worker ``run_campaign``.  It keeps every runner it has ever
+built in an in-process dictionary keyed by ``(label, kernel)`` and points
+the compiled kernel at the farm's shared
+:class:`~repro.rtl.compile.CompiledProgramCache` directory, so after the
+first shard touches an implementation, every later one pays neither spec
 parsing, nor elaboration, nor codegen for it.
 
 Protocol (all messages are small picklable tuples):
@@ -30,18 +30,19 @@ Protocol (all messages are small picklable tuples):
   appended to the server-side corpus),
   ``("fuzz_done", worker_id, job_id, shard_id, payload, duration_s, stats)``
   when a fuzz session completes (payload is the deterministic session
-  record: executed/rounds/coverage/counterexamples),
+  record, :func:`repro.fuzz.session.session_payload`),
   ``("fuzz_error", worker_id, job_id, shard_id, seed, message)`` when the
   session machinery itself raises (e.g. Hypothesis missing in a minimal
   environment) — the job records a structured error, the worker survives.
 
 A worker that dies (OOM, segfault, ``os._exit``) simply stops sending; the
 dispatcher notices the dead process, respawns a fresh worker, and retries
-the in-flight shard once before recording structured per-cell errors —
-mirroring :class:`~repro.campaign.executor.ShardedExecutor`'s crash policy.
-A worker that *hangs* stops heartbeating instead: the dispatcher's watchdog
-SIGKILLs it and the same respawn/retry path runs, ending in ``worker_stuck``
-errors if the retry hangs too.
+the in-flight shard once before recording structured ``worker_crash``
+errors for the cells it did not finish — the one crash policy of every
+multi-process run, served or batch.  A worker that *hangs* stops
+heartbeating instead: the dispatcher's watchdog SIGKILLs it and the same
+respawn/retry path runs, ending in ``worker_stuck`` errors if the retry
+hangs too.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def _run_fuzz_session(
     """
     seed = int(params["seed"])
     try:
-        from repro.fuzz.session import run_session
+        from repro.fuzz.session import run_session, session_payload
 
         last_beat = [time.perf_counter()]
 
@@ -222,18 +223,7 @@ def _run_fuzz_session(
               f"{type(exc).__name__}: {exc}"))
         return
     stats["sessions"] += 1
-    payload = {
-        "seed": seed,
-        "budget": report.budget,
-        "profile": report.profile,
-        "with_faults": report.with_faults,
-        "executed": report.executed,
-        "rounds": report.rounds,
-        "coverage": list(report.coverage),
-        "counterexamples": [ce.describe() for ce in report.counterexamples],
-        "exit_code": report.exit_code,
-    }
-    send(("fuzz_done", worker_id, job_id, shard_id, payload,
+    send(("fuzz_done", worker_id, job_id, shard_id, session_payload(report),
           round(report.duration_s, 3), dict(stats, resident=resident)))
 
 

@@ -3,7 +3,10 @@
 import json
 import multiprocessing
 import os
+import re
 import sqlite3
+import tempfile
+import time
 from contextlib import closing
 
 import pytest
@@ -15,7 +18,6 @@ from repro.campaign import (
     ResultCache,
     ScenarioSweep,
     SerialExecutor,
-    ShardedExecutor,
     cell_digest,
     paper_grid,
     run_campaign,
@@ -210,20 +212,8 @@ class TestExecutors:
         return run_campaign(grid, executor=SerialExecutor())
 
     def test_sharded_is_bit_identical_to_serial_on_the_paper_grid(self, grid, serial_result):
-        sharded = run_campaign(grid, executor=ShardedExecutor(workers=2))
+        sharded = run_campaign(grid, workers=2)
         assert sharded.payload() == serial_result.payload()
-
-    def test_partition_preserves_cells_and_balances(self, grid):
-        cells = grid.cells()
-        shards = ShardedExecutor.partition(cells, 4)
-        merged = sorted((c for shard in shards for c in shard), key=lambda c: c.key)
-        assert merged == sorted(cells, key=lambda c: c.key)
-        sizes = [len(s) for s in shards]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_partition_never_exceeds_cell_count(self, grid):
-        shards = ShardedExecutor.partition(grid.cells()[:3], 8)
-        assert len(shards) == 3
 
     def test_executor_matches_legacy_experiment_table(self, serial_result):
         from repro.evaluation.experiments import run_cycles_experiment
@@ -247,53 +237,116 @@ class TestExecutors:
         serial = run_campaign(spec, executor=SerialExecutor())
         serial_s = time.perf_counter() - start
         start = time.perf_counter()
-        sharded = run_campaign(spec, executor=ShardedExecutor(workers=4))
+        sharded = run_campaign(spec, workers=4)
         sharded_s = time.perf_counter() - start
         assert sharded.payload() == serial.payload()
         assert serial_s / sharded_s >= 2.0, f"speedup {serial_s / sharded_s:.2f}x"
 
 
-class TestMakeExecutor:
+_fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="runtime-registered runners only reach workers under fork",
+)
+
+
+class _Exiting:
+    """Kills its whole worker process mid-shard (not an exception)."""
+
+    def run_scenario(self, sets):
+        os._exit(3)
+
+
+class _Exploding:
+    """A clean cell whose simulation raises."""
+
+    def run_scenario(self, sets):
+        raise RuntimeError("boom")
+
+
+class _Wedged:
+    """Goes silent far past any test watchdog, then returns an outcome."""
+
+    def run_scenario(self, sets):
+        time.sleep(30)
+        return {"result": 1, "cycles": 1, "transactions": 0}
+
+
+def _by_label(result):
+    rows = {}
+    for cell in result.cells:
+        rows.setdefault(cell.cell.label, []).append(cell)
+    return rows
+
+
+def _tiny_grid(scenarios=3):
+    return CampaignSpec(
+        implementations=("splice_plb",), scenarios=SCENARIOS[:scenarios], name="tiny"
+    )
+
+
+class TestWorkerCounts:
+    """How ``run_campaign`` resolves ``workers``: one runs in this process,
+    more run on a farm started for the run."""
+
     def test_one_means_serial(self):
-        from repro.campaign import make_executor
+        meta = run_campaign(_tiny_grid(), workers=1).meta
+        assert (meta["executor"], meta["workers"]) == ("serial", 1)
 
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(None), (SerialExecutor, ShardedExecutor))
-
-    def test_many_means_sharded(self):
-        from repro.campaign import make_executor
-
-        executor = make_executor(3)
-        assert isinstance(executor, ShardedExecutor)
-        assert executor.workers == 3
+    def test_many_means_a_farm(self):
+        meta = run_campaign(_tiny_grid(), workers=3).meta
+        assert (meta["executor"], meta["workers"]) == ("farm", 3)
 
     def test_zero_means_one_worker_per_cpu(self):
-        from repro.campaign import make_executor
-
         cpus = os.cpu_count() or 1
-        executor = make_executor(0)
-        if cpus <= 1:
-            assert isinstance(executor, SerialExecutor)
-        else:
-            assert isinstance(executor, ShardedExecutor)
-            assert executor.workers == cpus
+        meta = run_campaign(_tiny_grid(), workers=0).meta
+        assert meta["workers"] == cpus
+        assert meta["executor"] == ("serial" if cpus <= 1 else "farm")
 
     def test_negative_rejected(self):
-        from repro.campaign import make_executor
-
         with pytest.raises(ValueError):
-            make_executor(-2)
+            run_campaign(_tiny_grid(), workers=-2)
 
-    def test_one_rule_for_every_worker_count(self):
-        """Batch executors and the service resolve worker counts with the
-        same function, so a negative count is rejected everywhere."""
+    def test_one_rule_for_every_worker_count(self, tmp_path):
+        """Batch runs and the service resolve worker counts with the same
+        function, so a negative count is rejected everywhere."""
         from repro import service
         from repro.campaign.executor import resolve_workers
 
         assert service.resolve_workers is resolve_workers
-        assert ShardedExecutor(workers=0).workers == resolve_workers(0)
+        farm = service.SimulationFarm(workers=0, cache=tmp_path)
+        farm.cache.close()
+        assert farm.worker_count == resolve_workers(0)
         with pytest.raises(ValueError):
-            ShardedExecutor(workers=-3)
+            service.SimulationFarm(workers=-3, cache=tmp_path)
+
+    def test_farm_never_gets_more_workers_than_cells(self, monkeypatch):
+        from repro.service import farm as farm_mod
+
+        started = []
+
+        class Recording(farm_mod.SimulationFarm):
+            def start(self):
+                started.append(self.worker_count)
+                return super().start()
+
+        monkeypatch.setattr(farm_mod, "SimulationFarm", Recording)
+        result = run_campaign(_tiny_grid(3), workers=8)
+        assert started == [3]
+        assert result.meta["executor"] == "farm"
+
+    def test_serial_run_never_imports_the_service(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from repro.campaign import CampaignSpec, run_campaign\n"
+            "from repro.evaluation.scenarios import SCENARIOS\n"
+            "run_campaign(CampaignSpec(implementations=('splice_plb',), scenarios=SCENARIOS[:1]))\n"
+            "assert 'repro.service' not in sys.modules, 'serial run imported repro.service'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 class TestWorkerCrashIsolation:
@@ -302,10 +355,10 @@ class TestWorkerCrashIsolation:
         reason="runtime-registered runners only reach workers under fork",
     )
     def test_dead_worker_yields_error_records_not_a_crash(self, tmp_path):
-        """A worker process dying mid-shard (BrokenProcessPool) retries the
-        shard once on a fresh pool; if that dies too, the shard's cells get
-        structured ``worker_crash`` error records and every other shard's
-        outcomes survive."""
+        """A farm worker dying mid-shard is respawned and the shard retried
+        once; if the retry dies too, the cells it did not finish get
+        structured ``worker_crash`` error records and every other cell's
+        outcome survives."""
         from repro.devices.registry import _BUILDERS, register_runner
 
         class Exiting:
@@ -336,6 +389,111 @@ class TestWorkerCrashIsolation:
             assert warm.meta["cells_failed"] == 2
         finally:
             _BUILDERS.pop("zz_exiting", None)
+
+    @_fork_only
+    def test_crash_rows_depend_only_on_the_cell(self, tmp_path):
+        """Which worker ran a cell that killed it, and in which shard,
+        depends on the worker count and on what was cached; its row does
+        not."""
+        from repro.devices.registry import _BUILDERS
+        from repro.service import SimulationFarm
+
+        register_runner("zz_exiting", _Exiting)
+        try:
+            spec = CampaignSpec(
+                implementations=("splice_plb", "zz_exiting"),
+                scenarios=SCENARIOS,
+                name="crash-rows",
+            )
+            cold = run_campaign(spec, workers=2).payload()
+            cache = tmp_path / "cache"
+            run_campaign(
+                CampaignSpec(implementations=("splice_plb",), scenarios=SCENARIOS[1:3]),
+                cache=cache,
+            )
+            with SimulationFarm(workers=3, cache=cache) as farm:
+                job = farm.submit(spec)
+                job.wait(timeout=120)
+                assert len(job.cached) == 2
+                served = job.result().payload()
+            errors = [row["error"] for row in cold if "error" in row]
+            assert len(errors) == len(SCENARIOS)
+            assert all(error.startswith("worker_crash: ") for error in errors)
+            assert not [error for error in errors if re.search(r"worker \d|shard \d", error)]
+            assert served == cold
+        finally:
+            _BUILDERS.pop("zz_exiting", None)
+
+    @_fork_only
+    def test_batch_run_kills_a_wedged_cell(self, monkeypatch):
+        """The farm's stuck-worker watchdog covers batch runs: a cell that
+        goes silent is killed, retried once and recorded as
+        ``worker_stuck`` instead of holding the run for its full sleep."""
+        from repro.devices.registry import _BUILDERS
+        from repro.service import farm as farm_mod
+
+        class QuickWatchdog(farm_mod.SimulationFarm):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.stuck_timeout_s = 2.0
+
+        monkeypatch.setattr(farm_mod, "SimulationFarm", QuickWatchdog)
+        register_runner("zz_wedged", _Wedged)
+        try:
+            spec = CampaignSpec(
+                implementations=("splice_plb", "zz_wedged"),
+                scenarios=SCENARIOS[:2],
+                name="wedged",
+            )
+            started = time.monotonic()
+            result = run_campaign(spec, workers=2)
+            assert time.monotonic() - started < 20
+            rows = _by_label(result)
+            assert all(c.error is None for c in rows["splice_plb"])
+            assert all(
+                c.error is not None and c.error.startswith("worker_stuck: ")
+                for c in rows["zz_wedged"]
+            )
+        finally:
+            _BUILDERS.pop("zz_wedged", None)
+
+    @_fork_only
+    def test_farm_run_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        """Returned or raised, a multi-worker run has stopped its workers
+        and removed its farm's cache directory; a fully cached one starts
+        no process at all."""
+        from repro.devices.registry import _BUILDERS
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        clean = CampaignSpec(implementations=("splice_plb",), scenarios=SCENARIOS[:2])
+
+        def leftovers():
+            workers = [p for p in multiprocessing.active_children()
+                       if p.name.startswith("splice-farm-worker")]
+            return workers + list(tmp_path.glob("splice-farm-cache-*"))
+
+        run_campaign(clean, workers=2)
+        assert leftovers() == []
+        register_runner("zz_exploding", _Exploding)
+        try:
+            failing = CampaignSpec(
+                implementations=("splice_plb", "zz_exploding"), scenarios=SCENARIOS[:2]
+            )
+            with pytest.raises(RuntimeError, match="boom"):
+                run_campaign(failing, workers=2)
+            assert leftovers() == []
+        finally:
+            _BUILDERS.pop("zz_exploding", None)
+
+        cache = tmp_path / "cache"
+        run_campaign(clean, cache=cache)
+
+        def no_process(self):
+            raise AssertionError("a fully cached run started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        warm = run_campaign(clean, workers=2, cache=cache)
+        assert warm.meta["cells_cached"] == clean.cell_count
 
     def test_error_rows_round_trip_through_json_and_csv(self, tmp_path):
         from repro.campaign.executor import CellError

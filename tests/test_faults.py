@@ -17,7 +17,6 @@ from repro.campaign import (
     CampaignCell,
     CampaignSpec,
     SerialExecutor,
-    ShardedExecutor,
     cell_digest,
     run_campaign,
 )
@@ -379,7 +378,7 @@ class TestCampaignFaultAxis:
             name="fault-axis",
         )
         serial = run_campaign(spec, executor=SerialExecutor())
-        sharded = run_campaign(spec, executor=ShardedExecutor(workers=2))
+        sharded = run_campaign(spec, workers=2)
         assert serial.payload() == sharded.payload()
         assert all(cell.error is None for cell in serial.cells)
         # Faulted rows carry their schedule token through the artifacts;
@@ -442,8 +441,9 @@ class TestCampaignFaultAxis:
 
     def test_error_rows_identical_serial_sharded_served(self, tmp_path):
         """A failed cell's row depends only on the cell: the serial run (the
-        faulted FCB cell after its clean sibling on one runner), the sharded
-        run (the faulted cell alone in its shard) and a farm job agree."""
+        faulted FCB cell after its clean sibling on one runner), a
+        multi-worker run (its ephemeral farm's own cache) and a job on a
+        farm with another cache agree."""
         from repro.service import SimulationFarm
 
         spec = CampaignSpec(
@@ -454,7 +454,7 @@ class TestCampaignFaultAxis:
             name="fault-error-rows",
         )
         serial = run_campaign(spec, executor=SerialExecutor()).payload()
-        sharded = run_campaign(spec, executor=ShardedExecutor(workers=2)).payload()
+        sharded = run_campaign(spec, workers=2).payload()
         with SimulationFarm(workers=2, cache=tmp_path / "cache") as farm:
             job = farm.submit(spec)
             job.wait(timeout=120)

@@ -9,6 +9,7 @@ synthesize one counterexample per verdict kind so the corpus round-trip
 (serialize → load → replay → identical verdict) is covered for every kind.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -34,7 +35,7 @@ from repro.fuzz import (
     save_case,
     watchdog_available,
 )
-from repro.fuzz.session import run_session
+from repro.fuzz.session import run_session, session_payload
 from repro.fuzz.watchdog import CaseHang
 from repro.rtl import CompiledSimulator, ReferenceSimulator, Simulator
 
@@ -302,6 +303,12 @@ class TestSessionContainment:
             ce.token for ce in second.counterexamples
         ]
         assert first.exit_code == second.exit_code == 0
+        # The farm's per-session record carries the digest of that stream.
+        payload = session_payload(first)
+        assert payload == session_payload(second)
+        assert payload["tokens_sha256"] == hashlib.sha256(
+            "\n".join(first.case_tokens).encode()
+        ).hexdigest()
 
     def test_case_stream_does_not_depend_on_loaded_modules(self):
         """One session in three fresh processes that imported different parts

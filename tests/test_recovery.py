@@ -321,7 +321,7 @@ class TestInProcessRecovery:
 
     def test_fuzz_job_resumes_from_journaled_sessions(self, tmp_path):
         pytest.importorskip("hypothesis")
-        from repro.fuzz.session import run_session
+        from repro.fuzz.session import run_session, session_payload
 
         farm = SimulationFarm(workers=1,
                               state_dir=tmp_path / "state").start()
@@ -347,21 +347,8 @@ class TestInProcessRecovery:
         finally:
             farm2.stop()
 
-        expected = []
-        for seed in (20, 21, 22):
-            report = run_session(4, seed, profile="quick", corpus_dir=None)
-            expected.append({
-                "seed": seed,
-                "budget": report.budget,
-                "profile": report.profile,
-                "with_faults": report.with_faults,
-                "executed": report.executed,
-                "rounds": report.rounds,
-                "coverage": list(report.coverage),
-                "counterexamples": [ce.describe()
-                                    for ce in report.counterexamples],
-                "exit_code": report.exit_code,
-            })
+        expected = [session_payload(run_session(4, seed, profile="quick", corpus_dir=None))
+                    for seed in (20, 21, 22)]
         assert payload["sessions"] == expected  # bit-identical resume
 
     def test_terminal_jobs_are_not_recovered_and_ids_advance(self, tmp_path):
@@ -535,7 +522,7 @@ class TestServeKillRecovery:
 
     def test_sigkill_mid_fuzz_job_resumes_completed_sessions(self, tmp_path):
         pytest.importorskip("hypothesis")
-        from repro.fuzz.session import run_session
+        from repro.fuzz.session import run_session, session_payload
 
         state = tmp_path / "state"
         proc, client = _start_serve(state)
@@ -568,19 +555,6 @@ class TestServeKillRecovery:
         finally:
             _stop_serve(proc2)
 
-        expected = []
-        for seed in (30, 31, 32):
-            report = run_session(4, seed, profile="quick", corpus_dir=None)
-            expected.append({
-                "seed": seed,
-                "budget": report.budget,
-                "profile": report.profile,
-                "with_faults": report.with_faults,
-                "executed": report.executed,
-                "rounds": report.rounds,
-                "coverage": list(report.coverage),
-                "counterexamples": [ce.describe()
-                                    for ce in report.counterexamples],
-                "exit_code": report.exit_code,
-            })
+        expected = [session_payload(run_session(4, seed, profile="quick", corpus_dir=None))
+                    for seed in (30, 31, 32)]
         assert result["sessions"] == expected  # bit-identical to uninterrupted

@@ -894,20 +894,9 @@ class TestFuzzJobs:
     @staticmethod
     def _local_session(seed, budget):
         """The deterministic payload an uninterrupted local session yields."""
-        from repro.fuzz.session import run_session
+        from repro.fuzz.session import run_session, session_payload
 
-        report = run_session(budget, seed, profile="quick", corpus_dir=None)
-        return {
-            "seed": seed,
-            "budget": report.budget,
-            "profile": report.profile,
-            "with_faults": report.with_faults,
-            "executed": report.executed,
-            "rounds": report.rounds,
-            "coverage": list(report.coverage),
-            "counterexamples": [ce.describe() for ce in report.counterexamples],
-            "exit_code": report.exit_code,
-        }
+        return session_payload(run_session(budget, seed, profile="quick", corpus_dir=None))
 
     def test_fuzz_job_shards_across_workers_and_matches_local_sessions(self):
         from repro.service import FUZZ, FuzzJobSpec
