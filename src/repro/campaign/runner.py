@@ -19,7 +19,7 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.executor import CellError, CellOutcome, SerialExecutor, resolve_workers
@@ -72,9 +72,11 @@ def run_campaign(
     is trusted — the content address covers the inputs and the kernel
     sources), and a run with every cell cached starts no process.
 
-    A clean cell whose runner raises fails the run once every other cell
-    has finished and been persisted: serially with the runner's own
-    exception, on a farm with :class:`RuntimeError`.
+    A clean cell whose runner raises fails the run.  Serially, the
+    runner's own exception propagates at once, and the cells finished
+    before it stay persisted.  On a farm, every other cell still runs and
+    is persisted, and then the run raises :class:`RuntimeError`, as it
+    does if the farm itself fails.
     """
     if executor is None:
         workers = resolve_workers(workers)
@@ -100,7 +102,7 @@ def _run(spec: CampaignSpec, executor, workers: int,
     if executor is None:
         name = "farm"
         if pending:
-            cached, fresh = _run_on_farm(spec, min(workers, len(pending)), cache)
+            fresh = _run_on_farm(spec, cached, len(pending), workers, cache)
     else:
         name = getattr(executor, "name", type(executor).__name__)
         workers = getattr(executor, "workers", 1)
@@ -149,20 +151,25 @@ def _execute(executor, pending, cache: Optional[ResultCache]) -> Outcomes:
         return executor.execute(pending, on_result)
 
 
-def _run_on_farm(spec: CampaignSpec, workers: int,
-                 cache: Optional[ResultCache]) -> Tuple[Dict[tuple, CellOutcome], Outcomes]:
-    """Run ``spec`` as the one job of a farm of ``workers`` started for it.
+def _run_on_farm(spec: CampaignSpec, cached: Dict[tuple, CellOutcome], pending: int,
+                 workers: int, cache: Optional[ResultCache]) -> Outcomes:
+    """Run the ``pending`` uncached cells of ``spec`` as the one job of a
+    farm started for it, and return their outcomes, error rows included.
 
-    The farm answers the cells ``cache`` holds (without a cache it keeps
-    its own, removed at stop) and persists every other cell's outcome as
-    it lands.  Returns the job's cached and freshly run outcomes, error
-    rows included.
+    Shards hold the farm's default number of cells, or fewer when that
+    would leave one of ``workers`` without a shard, and the farm gets no
+    more workers than there are shards.  The farm persists each outcome to
+    ``cache`` as it lands; without a cache it persists nothing.
     """
-    from repro.service.farm import SimulationFarm
+    from repro.service.farm import DEFAULT_SHARD_SIZE, SimulationFarm
 
-    with SimulationFarm(workers, cache=cache) as farm:
-        job = farm.submit(spec)
-        job.wait()
+    shard_size = min(DEFAULT_SHARD_SIZE, -(-pending // workers))
+    workers = min(workers, -(-pending // shard_size))
+    with SimulationFarm(workers, cache=cache, shard_size=shard_size) as farm:
+        job = farm._submit_campaign(spec, cached, cache is not None)
+        state = job.wait()
+    if job.cells_done < len(job.cells):
+        raise RuntimeError(job.events[-1].get("reason") or f"farm job ended {state}")
     for cell in job.cells:
         error = job.errors.get(cell.key)
         if error is not None and error.kind == "cell_exception" and cell.faults is None:
@@ -172,4 +179,4 @@ def _run_on_farm(spec: CampaignSpec, workers: int,
             )
     fresh: Outcomes = dict(job.fresh)
     fresh.update(job.errors)
-    return job.cached, fresh
+    return fresh

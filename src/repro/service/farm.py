@@ -21,9 +21,10 @@ front ends drive.  One farm owns:
   uninterrupted run, and
 * a single dispatcher thread that pumps worker results, persists fresh
   outcomes into the cache, enforces per-job timeouts, watches for
-  heartbeat-silent (stuck) workers, respawns dead workers (retrying their
-  in-flight shard once, then failing those cells with structured error
-  records), and feeds idle workers the next shard.
+  heartbeat-silent (stuck) workers, respawns dead workers (retrying each
+  unfinished cell of their in-flight shard once, alone, then failing it
+  with a structured error record), and feeds idle workers the next shard.
+  If the dispatcher itself raises, every active job fails with the error.
 
 Two job kinds share all of that machinery: campaign grids (shards of
 cells) and fuzz jobs (shards of deterministic ``(seed, budget)`` sessions,
@@ -210,6 +211,8 @@ class SimulationFarm:
         self._wake_reader = self._wake_writer = None
         self._wake_lock = threading.Lock()
         self._dispatcher: Optional[threading.Thread] = None
+        #: Set when the dispatcher thread died; the farm then accepts no job.
+        self._dispatcher_error: Optional[str] = None
         self.counters = {
             "cells_total": 0,
             "cells_cached": 0,
@@ -325,8 +328,18 @@ class SimulationFarm:
         # Cache lookups happen outside the lock: digesting a cell hashes its
         # generated inputs, which is pure CPU and must not serialise
         # concurrent submissions more than the GIL already does.
-        cached = self.cache.lookup(spec.cells())
+        return self._submit_campaign(spec, self.cache.lookup(spec.cells()), True,
+                                     priority, timeout_s, idempotency_key)
 
+    def _submit_campaign(self, spec: CampaignSpec, cached: dict, persist: bool,
+                         priority: int = 0, timeout_s: Optional[float] = None,
+                         idempotency_key: Optional[str] = None) -> Job:
+        """Queue ``spec``, whose cells' cached outcomes are ``cached`` (by key).
+
+        ``run_campaign`` calls this with its own lookup, and with ``persist``
+        false when it has no cache: nothing then goes to this farm's store.
+        """
+        self._check_accepting()
         with self._cond:
             existing = self._idempotent(idempotency_key)
             if existing is not None:
@@ -337,6 +350,7 @@ class SimulationFarm:
                 f"j{self._job_seq:06d}", spec,
                 priority=priority, timeout_s=timeout_s, cond=self._cond,
             )
+            job.persist = persist
             self._register_key(job, idempotency_key)
             self._journal_append(
                 "submitted", job=job.id, kind=CAMPAIGN, priority=priority,
@@ -389,6 +403,8 @@ class SimulationFarm:
     def _check_accepting(self) -> None:
         if not self._running:
             raise RuntimeError("farm is not running (call start() first)")
+        if self._dispatcher_error is not None:
+            raise RuntimeError(f"farm dispatcher failed: {self._dispatcher_error}")
         if self._draining:
             raise RuntimeError("farm is draining and not accepting new jobs")
 
@@ -527,9 +543,9 @@ class SimulationFarm:
         if not pending:
             self._finish(job, DONE, cells_cached=len(cached))
             return
-        for shard_id, start in enumerate(range(0, len(pending), self.shard_size)):
+        for start in range(0, len(pending), self.shard_size):
             job.pending_shards.append(
-                Shard(job.id, shard_id, pending[start:start + self.shard_size])
+                Shard(job.id, job.next_shard_id(), pending[start:start + self.shard_size])
             )
         self._queue.push(job)
 
@@ -561,8 +577,8 @@ class SimulationFarm:
         if not pending:
             self._finish(job, DONE, sessions=len(job.fresh))
             return
-        for shard_id, seed in enumerate(pending):
-            job.pending_shards.append(Shard(job.id, shard_id, [seed]))
+        for seed in pending:
+            job.pending_shards.append(Shard(job.id, job.next_shard_id(), [seed]))
         self._queue.push(job)
 
     # -- recovery ----------------------------------------------------------------
@@ -689,8 +705,9 @@ class SimulationFarm:
 
         Returns the killed worker id, or ``None`` if no live worker matched.
         The dispatcher's normal crash policy takes over from there: the dead
-        worker is respawned, its in-flight shard is retried once, and a
-        second death yields structured ``worker_crash`` cell errors — the
+        worker is respawned, each unfinished cell of its in-flight shard is
+        retried once, and a second death yields a structured
+        ``worker_crash`` error for that cell — the
         exact path real OOM kills and segfaults exercise, made injectable
         for the chaos bench and the service smoke tests.
         """
@@ -713,6 +730,20 @@ class SimulationFarm:
             self._wake_writer.send(("wake",))
 
     def _dispatch_loop(self) -> None:
+        """The dispatcher thread.  If it raises (a cache put on a full disk,
+        a failed fork), every active job fails with the error, unjournaled
+        so a restart resumes it, and the farm accepts no new job."""
+        try:
+            self._dispatch_until_stopped()
+        except Exception as exc:
+            with self._cond:
+                self._dispatcher_error = f"{type(exc).__name__}: {exc}"
+                for job in list(self._active.values()):
+                    self._finish(job, FAILED, journal=False,
+                                 reason=f"farm dispatcher failed: {self._dispatcher_error}")
+            raise
+
+    def _dispatch_until_stopped(self) -> None:
         while True:
             # Only this thread replaces workers, so the list needs no lock.
             readers = [w.results for w in self._workers if not w.results.closed]
@@ -770,7 +801,8 @@ class SimulationFarm:
             cell = job.in_flight[shard_id].cell(key)
             job.fresh[cell.key] = outcome
             self.counters["cells_executed"] += 1
-            self.cache.put(cell, outcome)
+            if job.persist:
+                self.cache.put(cell, outcome)
             extra = {} if cell.faults is None else {"faults": cell.faults}
             job.emit(
                 "cell",
@@ -938,9 +970,9 @@ class SimulationFarm:
         Distinct from the per-job timeout: a stuck worker (wedged simulation,
         deadlocked native call) stops *messaging* while its job's clock may
         have plenty left.  The kill feeds the normal dead-worker path below
-        — respawn, one retry — but the death is attributed, so a shard whose
-        retry also goes silent fails with ``worker_stuck`` errors rather
-        than ``worker_crash``.
+        — respawn, one retry — but the death is attributed, so a cell whose
+        retry also goes silent fails with ``worker_stuck`` rather than
+        ``worker_crash``.
         """
         if self.stuck_timeout_s is None:
             return
@@ -992,16 +1024,25 @@ class SimulationFarm:
             if job.is_terminal:
                 continue
             if shard.attempts <= 1:
-                # One retry on the fresh worker: the crash policy of every
-                # multi-process run, served or batch.  Partial results the
-                # dead worker already reported are kept; re-running those
-                # cells overwrites them with identical values (cells are
-                # deterministic).
+                # One retry on a fresh worker: the crash policy of every
+                # multi-process run, served or batch.  Cells the dead worker
+                # already reported are kept; each other cell is retried as a
+                # shard of its own, so a second death fails only the cell
+                # that caused it, wherever the first attempt placed it.
+                unfinished = [cell for cell in shard.cells
+                              if getattr(cell, "key", cell) not in job.fresh
+                              and getattr(cell, "key", cell) not in job.errors]
+                retries = [
+                    shard if len(shard.cells) == 1
+                    else Shard(job.id, job.next_shard_id(), [cell], attempts=1)
+                    for cell in unfinished
+                ]
                 self.counters["shards_retried"] += 1
-                job.pending_shards.insert(0, shard)
+                job.pending_shards[:0] = retries
                 self._queue.push(job)
                 job.emit("shard_retry", shard=shard.shard_id,
                          worker=handle.worker_id, stuck=stuck)
+                self._maybe_finalize(job)
             else:
                 cause = "worker_stuck" if stuck else "worker_crash"
                 # The row names neither the worker nor the shard, which

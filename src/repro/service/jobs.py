@@ -126,8 +126,9 @@ class Shard:
 
     The shard is the farm's unit of scheduling *and* of cancellation: a
     worker runs a shard to completion, so cancelling a running job takes
-    effect at the next shard boundary.  ``attempts`` counts dispatches — a
-    shard whose worker died is retried exactly once on a fresh worker.
+    effect at the next shard boundary.  ``attempts`` counts dispatches: when
+    a shard's worker dies, each cell it did not finish is retried exactly
+    once, as a shard of its own, on a fresh worker.
     """
 
     job_id: str
@@ -184,15 +185,22 @@ class Job:
         self.cached: Dict[tuple, CellOutcome] = {}
         self.fresh: Dict = {}
         self.errors: Dict = {}
+        self.persist = True  # fresh outcomes go to the farm's result cache
 
         #: A list, not a deque: a job has a few shards or none, and an empty
         #: deque costs 760 bytes in every job the farm keeps.
         self.pending_shards: List[Shard] = []
         self.in_flight: Dict[int, Shard] = {}
+        self._shards_made = 0
         self.events: List[dict] = []
         #: FIFO position within this job's priority class; assigned by the
         #: :class:`JobQueue` at first push and stable across re-pushes.
         self.queue_seq: Optional[int] = None
+
+    def next_shard_id(self) -> int:
+        """A shard id this job has not used yet."""
+        self._shards_made += 1
+        return self._shards_made - 1
 
     # -- derived ----------------------------------------------------------------
 

@@ -37,12 +37,12 @@ Protocol (all messages are small picklable tuples):
 
 A worker that dies (OOM, segfault, ``os._exit``) simply stops sending; the
 dispatcher notices the dead process, respawns a fresh worker, and retries
-the in-flight shard once before recording structured ``worker_crash``
-errors for the cells it did not finish — the one crash policy of every
-multi-process run, served or batch.  A worker that *hangs* stops
-heartbeating instead: the dispatcher's watchdog SIGKILLs it and the same
-respawn/retry path runs, ending in ``worker_stuck`` errors if the retry
-hangs too.
+each cell of the in-flight shard that did not finish once, as a shard of
+its own, before recording a structured ``worker_crash`` error for a cell
+whose retry dies too — the one crash policy of every multi-process run,
+served or batch.  A worker that *hangs* stops heartbeating instead: the
+dispatcher's watchdog SIGKILLs it and the same respawn/retry path runs,
+ending in ``worker_stuck`` errors if the retry hangs too.
 """
 
 from __future__ import annotations
@@ -159,7 +159,8 @@ def worker_main(
                 outcome = runners.run(cell)
             except Exception as exc:  # noqa: BLE001 — isolate the cell, keep serving
                 # A clean cell that raises (or a label that fails to build)
-                # aborts a batch run; a served job records it and goes on.
+                # becomes an error row and the shard goes on; a batch run
+                # raises for it once its job has ended.
                 outcome = CellError(
                     kind="cell_exception", message=f"{type(exc).__name__}: {exc}"
                 )

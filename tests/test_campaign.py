@@ -334,6 +334,28 @@ class TestWorkerCounts:
         assert started == [3]
         assert result.meta["executor"] == "farm"
 
+    def test_every_farm_worker_gets_a_shard(self, monkeypatch):
+        """Shards shrink so that each worker the farm starts has one: nine
+        cells at eight workers run as five shards on five workers."""
+        from repro.service import farm as farm_mod
+
+        dispatched = []
+
+        class Recording(farm_mod.SimulationFarm):
+            def stop(self):
+                dispatched.append([w.dispatched for w in self._workers])
+                super().stop()
+
+        monkeypatch.setattr(farm_mod, "SimulationFarm", Recording)
+        spec = CampaignSpec(
+            implementations=("splice_plb", "splice_fcb", "splice_opb"),
+            scenarios=SCENARIOS[:3],
+        )
+        run_campaign(spec, workers=8)
+        (counts,) = dispatched
+        assert len(counts) == 5
+        assert all(count >= 1 for count in counts)
+
     def test_serial_run_never_imports_the_service(self):
         import subprocess
         import sys
@@ -391,38 +413,54 @@ class TestWorkerCrashIsolation:
             _BUILDERS.pop("zz_exiting", None)
 
     @_fork_only
-    def test_crash_rows_depend_only_on_the_cell(self, tmp_path):
-        """Which worker ran a cell that killed it, and in which shard,
-        depends on the worker count and on what was cached; its row does
-        not."""
+    @pytest.mark.parametrize("crasher", ["aa_exiting", "zz_exiting"])
+    def test_crash_rows_depend_only_on_the_cell(self, tmp_path, crasher):
+        """Which worker ran a cell that killed it, in which shard and next
+        to which other cells, depends on the worker count and on what was
+        cached; the rows do not.  Only the crashing cells get crash rows,
+        whether their label sorts before or after the clean one."""
         from repro.devices.registry import _BUILDERS
         from repro.service import SimulationFarm
 
-        register_runner("zz_exiting", _Exiting)
+        register_runner(crasher, _Exiting)
         try:
             spec = CampaignSpec(
-                implementations=("splice_plb", "zz_exiting"),
-                scenarios=SCENARIOS,
+                implementations=("splice_plb", crasher),
+                scenarios=SCENARIOS[:3],
                 name="crash-rows",
             )
+            def one_clean_cell_cached(number):
+                cache = tmp_path / f"cache{number}"
+                run_campaign(
+                    CampaignSpec(implementations=("splice_plb",),
+                                 scenarios=SCENARIOS[number - 1:number]),
+                    cache=cache,
+                )
+                return cache
+
             cold = run_campaign(spec, workers=2).payload()
-            cache = tmp_path / "cache"
-            run_campaign(
-                CampaignSpec(implementations=("splice_plb",), scenarios=SCENARIOS[1:3]),
-                cache=cache,
-            )
-            with SimulationFarm(workers=3, cache=cache) as farm:
+            warm = run_campaign(spec, workers=2, cache=one_clean_cell_cached(1))
+            assert warm.meta["cells_cached"] == 1
+            with SimulationFarm(workers=3, cache=one_clean_cell_cached(2)) as farm:
                 job = farm.submit(spec)
                 job.wait(timeout=120)
-                assert len(job.cached) == 2
+                assert len(job.cached) == 1
                 served = job.result().payload()
-            errors = [row["error"] for row in cold if "error" in row]
-            assert len(errors) == len(SCENARIOS)
-            assert all(error.startswith("worker_crash: ") for error in errors)
-            assert not [error for error in errors if re.search(r"worker \d|shard \d", error)]
+            with SimulationFarm(workers=3) as farm:
+                job = farm.submit(spec)
+                job.wait(timeout=120)
+                served_cold = job.result().payload()
+            errors = {row["label"]: row["error"] for row in cold if "error" in row}
+            assert list(errors) == [crasher]
+            crashes = [row["error"] for row in cold if "error" in row]
+            assert len(crashes) == 3
+            assert all(error.startswith("worker_crash: ") for error in crashes)
+            assert not [error for error in crashes if re.search(r"worker \d|shard \d", error)]
+            assert warm.payload() == cold
             assert served == cold
+            assert served_cold == cold
         finally:
-            _BUILDERS.pop("zz_exiting", None)
+            _BUILDERS.pop(crasher, None)
 
     @_fork_only
     def test_batch_run_kills_a_wedged_cell(self, monkeypatch):
@@ -494,6 +532,32 @@ class TestWorkerCrashIsolation:
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
         warm = run_campaign(clean, workers=2, cache=cache)
         assert warm.meta["cells_cached"] == clean.cell_count
+
+    @_fork_only
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_a_failing_farm_fails_the_run(self, tmp_path, monkeypatch):
+        """A cache that cannot be written kills the farm's dispatcher; the
+        run raises instead of waiting for a job nobody finishes, and stops
+        its workers.  A farm in that state accepts no new job."""
+        from repro.service import SimulationFarm
+
+        def put(self, cell, outcome):
+            raise sqlite3.OperationalError("database or disk is full")
+
+        monkeypatch.setattr(ResultCache, "put", put)
+        spec = CampaignSpec(implementations=("splice_plb",), scenarios=SCENARIOS[:2])
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="dispatcher failed: OperationalError"):
+            run_campaign(spec, workers=2, cache=tmp_path / "cache")
+        assert time.monotonic() - started < 20
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("splice-farm-worker")]
+
+        with SimulationFarm(workers=1, cache=tmp_path / "cache") as farm:
+            job = farm.submit(spec)
+            assert job.wait(timeout=20) == "failed"
+            with pytest.raises(RuntimeError, match="dispatcher failed"):
+                farm.submit(spec)
 
     def test_error_rows_round_trip_through_json_and_csv(self, tmp_path):
         from repro.campaign.executor import CellError
@@ -613,6 +677,28 @@ class TestCache:
         assert healed.payload() == cold.payload()
         warm = run_campaign(spec, cache=tmp_path / "cache")
         assert warm.meta["cells_cached"] == spec.cell_count
+
+    def test_a_farm_run_looks_each_cell_up_once(self, tmp_path, monkeypatch):
+        """The runner's lookup is the only one; without a cache a farm run
+        neither looks anything up nor persists anything."""
+        spec = CampaignSpec(implementations=("splice_plb",), scenarios=SCENARIOS[:3])
+        lookups = []
+        lookup = ResultCache.lookup
+
+        def counting(self, cells):
+            lookups.append(len(cells))
+            return lookup(self, cells)
+
+        monkeypatch.setattr(ResultCache, "lookup", counting)
+        run_campaign(spec, workers=2, cache=tmp_path / "cache")
+        assert lookups == [spec.cell_count]
+
+        def refuse(*args):
+            raise AssertionError("a run without a cache used a result store")
+
+        monkeypatch.setattr(ResultCache, "lookup", refuse)
+        monkeypatch.setattr(ResultCache, "put", refuse)
+        assert run_campaign(spec, workers=2).meta["cells_executed"] == spec.cell_count
 
     def test_cache_shared_between_serial_and_sharded(self, tmp_path):
         spec = CampaignSpec(implementations=("splice_plb", "splice_fcb"), scenarios=SCENARIOS[:2])
