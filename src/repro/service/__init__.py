@@ -38,9 +38,9 @@ seed ranges shard across the warm workers, findings stream back live and
 land in the server-side corpus.
 """
 
+from importlib import import_module
+
 from repro.campaign.executor import resolve_workers
-from repro.service.api import build_handler, serve_farm, serve_farm_in_thread
-from repro.service.client import ServiceClient, ServiceError
 from repro.service.farm import (
     DEFAULT_SHARD_SIZE,
     DEFAULT_STUCK_TIMEOUT_S,
@@ -71,6 +71,17 @@ from repro.service.journal import (
     append_jsonl,
     replay_journal,
 )
+
+#: Loaded on first use: the farm a multi-worker ``run_campaign`` starts needs no HTTP.
+_HTTP_EXPORTS = {"build_handler": "api", "serve_farm": "api", "serve_farm_in_thread": "api",
+                 "ServiceClient": "client", "ServiceError": "client"}
+
+
+def __getattr__(name):
+    if name not in _HTTP_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HTTP_EXPORTS[name]}"), name)
+
 
 __all__ = [
     "SimulationFarm",

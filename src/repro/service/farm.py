@@ -545,7 +545,7 @@ class SimulationFarm:
             return
         for start in range(0, len(pending), self.shard_size):
             job.pending_shards.append(
-                Shard(job.id, job.next_shard_id(), pending[start:start + self.shard_size])
+                Shard(job.id, next(job.shard_ids), pending[start:start + self.shard_size])
             )
         self._queue.push(job)
 
@@ -578,7 +578,7 @@ class SimulationFarm:
             self._finish(job, DONE, sessions=len(job.fresh))
             return
         for seed in pending:
-            job.pending_shards.append(Shard(job.id, job.next_shard_id(), [seed]))
+            job.pending_shards.append(Shard(job.id, next(job.shard_ids), [seed]))
         self._queue.push(job)
 
     # -- recovery ----------------------------------------------------------------
@@ -1034,7 +1034,7 @@ class SimulationFarm:
                               and getattr(cell, "key", cell) not in job.errors]
                 retries = [
                     shard if len(shard.cells) == 1
-                    else Shard(job.id, job.next_shard_id(), [cell], attempts=1)
+                    else Shard(job.id, next(job.shard_ids), [cell], attempts=1)
                     for cell in unfinished
                 ]
                 self.counters["shards_retried"] += 1

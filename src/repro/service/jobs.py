@@ -191,16 +191,11 @@ class Job:
         #: deque costs 760 bytes in every job the farm keeps.
         self.pending_shards: List[Shard] = []
         self.in_flight: Dict[int, Shard] = {}
-        self._shards_made = 0
+        self.shard_ids = itertools.count()  # the ids of this job's shards, in order
         self.events: List[dict] = []
         #: FIFO position within this job's priority class; assigned by the
         #: :class:`JobQueue` at first push and stable across re-pushes.
         self.queue_seq: Optional[int] = None
-
-    def next_shard_id(self) -> int:
-        """A shard id this job has not used yet."""
-        self._shards_made += 1
-        return self._shards_made - 1
 
     # -- derived ----------------------------------------------------------------
 
