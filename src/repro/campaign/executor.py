@@ -6,11 +6,12 @@ them in the calling process through :func:`execute_cells`; a multi-worker
 ``run_campaign`` runs them on an ephemeral
 :class:`~repro.service.farm.SimulationFarm` instead, whose warm workers own
 the one crash policy (respawn, one retry per unfinished cell, then
-``worker_crash`` or ``worker_stuck`` rows).  Every loop that runs cells — :func:`execute_cells`
-and the farm's workers — runs each cell through :meth:`ResidentRunners.run`,
-so serial, multi-worker and served runs are bit-identical by construction,
-error rows included: every cell's inputs (and the text of its error, if it
-fails) are derived only from the cell itself.
+``worker_crash`` or ``worker_stuck`` rows).  Every loop that runs cells —
+:func:`execute_cells` and the farm's workers — runs each cell through
+:meth:`ResidentRunners.run`, so serial, multi-worker and served runs are
+bit-identical by construction, error rows included: every cell's inputs
+(and the text of its error, if it fails) are derived only from the cell
+itself.
 """
 
 from __future__ import annotations
