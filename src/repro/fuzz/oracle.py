@@ -1,9 +1,10 @@
 """The differential oracle: execute one fuzz case on every kernel and judge.
 
 This is the property the whole fuzz subsystem exists to check, lifted from
-``tests/test_kernel_equivalence.py`` into a library: build the *same*
-generated SoC once per kernel (reference / event / compiled), drive all of
-them with the case's workload, and demand that
+``tests/test_kernel_equivalence.py`` into a library: generate the case's
+specification once, elaborate that one design into a fresh SoC per kernel
+(reference / event / compiled), drive all of them with the case's workload,
+and demand that
 
 * the full-signal traces are identical, cycle for cycle and bit for bit,
 * the driver-call outcomes and transaction counts are identical,
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.core.engine import GenerationResult, Splice
 from repro.fuzz.case import IDLE, FuzzCase
 from repro.fuzz.watchdog import CaseHang, case_watchdog
 from repro.rtl import ReferenceSimulator, Simulator, TraceRecorder, kernel_factory
@@ -126,13 +128,33 @@ def default_kernel_factories(case: FuzzCase) -> Dict[str, Callable]:
     }
 
 
-def _build(case: FuzzCase, factory) -> object:
+class _OneGeneration:
+    """The engine every kernel of one case builds with.
+
+    It generates on its first call, which falls in the first kernel's build
+    and under that kernel's watchdog, and hands every later build the same
+    :class:`~repro.core.engine.GenerationResult`.  Generation is a pure
+    function of the specification, and each build still elaborates the
+    result into its own peripheral, bus, drivers and simulator.
+    """
+
+    def __init__(self) -> None:
+        self._result: Optional[GenerationResult] = None
+
+    def generate(self, source: str) -> GenerationResult:
+        if self._result is None:
+            self._result = Splice().generate(source)
+        return self._result
+
+
+def _build(case: FuzzCase, factory, engine: _OneGeneration) -> object:
     """Build one system for the case (fresh behaviours/state per kernel)."""
     topology = case.topology
     system = build_system(
         topology.spec_source(),
         behaviors=topology.behaviors(),
         calc_latencies=topology.calc_latencies(),
+        engine=engine,
         inter_op_gap=topology.inter_op_gap,
         simulator_factory=factory,
     )
@@ -225,19 +247,22 @@ def run_case(
     The first factory in ``kernel_factories`` is the baseline every other
     kernel is compared against (the reference oracle by default).  The
     watchdog brackets each kernel's build+run individually, so one stuck
-    kernel cannot consume another kernel's budget.
+    kernel cannot consume another kernel's budget.  The specification is
+    generated once, inside the first kernel's build, so a generator that
+    raises or hangs is that kernel's ``builder_error`` or ``hang``.
     """
     factories = kernel_factories or default_kernel_factories(case)
     labels = list(factories)
     if len(labels) < 2:
         raise ValueError("the oracle needs at least two kernels to differ")
 
+    engine = _OneGeneration()
     runs: Dict[str, Dict[str, object]] = {}
     for label in labels:
         factory = factories[label]
         try:
             with case_watchdog(timeout_s):
-                system = _build(case, factory)
+                system = _build(case, factory, engine)
         except CaseHang:
             return CaseVerdict("hang", f"build exceeded {timeout_s:g}s", kernel=label)
         except Exception as exc:  # noqa: BLE001 - containment is the point

@@ -17,6 +17,7 @@ isolated to this module and :mod:`~repro.fuzz.session`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 from hypothesis import strategies as st
@@ -109,86 +110,128 @@ PROFILES = {
 }
 
 
-def words(max_stream_unused: int = 0) -> st.SearchStrategy:
-    """32-bit words, biased heavily toward :data:`CORNER_WORDS`."""
-    return st.one_of(
-        st.sampled_from(CORNER_WORDS),
-        st.integers(min_value=0, max_value=0xFFFFFFFF),
-    )
+# Leaf strategies, built once for the process.  A strategy object is built,
+# resolved and validated on its first draw; a reused one pays that once, so no
+# draw builds one except ``sampled_from(topology.functions)``, whose elements
+# come from the case being drawn.  Reusing an object draws exactly what a
+# freshly built equal one would.
+
+#: 32-bit words, biased heavily toward :data:`CORNER_WORDS`.
+_WORDS = st.one_of(
+    st.sampled_from(CORNER_WORDS),
+    st.integers(min_value=0, max_value=0xFFFFFFFF),
+)
+_BUSES = st.sampled_from(FUZZ_BUSES)
+_FAMILIES = st.sampled_from(FUNCTION_FAMILIES)
+_LATENCIES = st.sampled_from(CALC_LATENCIES)
+_GAPS = st.sampled_from((0, 1, 3))
+_FLAGS = st.booleans()
+_INDICES = st.integers(0, 0xFF)
+_STEP_KINDS = st.integers(min_value=0, max_value=5)
+_FAULT_COUNTS = st.integers(min_value=1, max_value=2)
+_FAULT_KINDS = st.sampled_from(FAULT_KINDS)
+_FAULT_TARGETS = st.sampled_from(FAULT_TARGETS)
+_FAULT_DURATIONS = st.integers(min_value=1, max_value=3)
+_FAULT_BITS = st.one_of(st.none(), st.integers(min_value=0, max_value=7))
+# Bias toward leap-enabled: that is the production configuration and the
+# path with real optimisation machinery to get wrong.
+_LEAPS = st.sampled_from((True, True, True, False))
 
 
-def streams(profile: FuzzProfile) -> st.SearchStrategy:
-    """Wire-format input streams, including the zero-length degenerate."""
-    return st.lists(words(), min_size=0, max_size=profile.max_stream).map(tuple)
+class _Sized:
+    """The strategies whose bounds come from one profile."""
+
+    def __init__(self, profile: FuzzProfile) -> None:
+        self.function_counts = st.integers(min_value=1, max_value=profile.max_functions)
+        self.call_counts = st.integers(min_value=1, max_value=profile.max_calls)
+        self.idle_spans = st.integers(min_value=1, max_value=profile.max_idle)
+        self.fault_cycles = st.integers(min_value=0, max_value=profile.max_fault_cycle)
+        #: Wire-format input streams, including the zero-length degenerate.
+        self.streams = st.lists(_WORDS, min_size=0, max_size=profile.max_stream).map(tuple)
+        self.topologies = topologies(self)
+        self.fault_schedules = fault_schedules(self)
+
+
+@lru_cache(maxsize=8)
+def _sized(profile: FuzzProfile) -> _Sized:
+    """One :class:`_Sized` per profile, built on the profile's first use.
+
+    Bounded because callers may pass profiles of their own; a profile
+    evicted and built again draws exactly what it drew before.
+    """
+    return _Sized(profile)
 
 
 @st.composite
-def topologies(draw, profile: FuzzProfile) -> FuzzTopology:
-    bus = draw(st.sampled_from(FUZZ_BUSES))
-    count = draw(st.integers(min_value=1, max_value=profile.max_functions))
+def topologies(draw, sized: _Sized) -> FuzzTopology:
+    bus = draw(_BUSES)
+    count = draw(sized.function_counts)
     functions = []
     for index in range(count):
-        family = draw(st.sampled_from(FUNCTION_FAMILIES))
-        latency = draw(st.sampled_from(CALC_LATENCIES))
+        family = draw(_FAMILIES)
+        latency = draw(_LATENCIES)
         functions.append(FuzzFunction(name=f"f{index}", family=family, calc_latency=latency))
     has_pointer = any(f.family in ("stream", "pair") for f in functions)
-    dma = bus == "plb" and has_pointer and draw(st.booleans())
-    burst = bus == "fcb" and draw(st.booleans())
-    gap = draw(st.sampled_from((0, 1, 3)))
+    dma = bus == "plb" and has_pointer and draw(_FLAGS)
+    burst = bus == "fcb" and draw(_FLAGS)
+    gap = draw(_GAPS)
     return FuzzTopology(
         bus=bus, functions=tuple(functions), dma=dma, burst=burst, inter_op_gap=gap
     )
 
 
 @st.composite
-def calls_for(draw, topology: FuzzTopology, profile: FuzzProfile) -> Tuple[FuzzCall, ...]:
-    count = draw(st.integers(min_value=1, max_value=profile.max_calls))
+def calls_for(draw, topology: FuzzTopology, sized: _Sized) -> Tuple[FuzzCall, ...]:
+    count = draw(sized.call_counts)
+    functions = st.sampled_from(topology.functions)
     out = []
     for _ in range(count):
         # ~1 in 6 steps is an idle span: leap windows and monitor quiet
         # cycles only exist when the bus goes genuinely silent.
-        if draw(st.integers(min_value=0, max_value=5)) == 0:
-            out.append(FuzzCall.idle(draw(st.integers(min_value=1, max_value=profile.max_idle))))
+        if draw(_STEP_KINDS) == 0:
+            out.append(FuzzCall.idle(draw(sized.idle_spans)))
             continue
-        fn = draw(st.sampled_from(topology.functions))
+        fn = draw(functions)
         if fn.family == "poke":
-            args = (draw(st.integers(0, 0xFF)), draw(words()))
+            args = (draw(_INDICES), draw(_WORDS))
         elif fn.family == "peek":
-            args = (draw(st.integers(0, 0xFF)),)
+            args = (draw(_INDICES),)
         elif fn.family == "stream":
-            args = (draw(streams(profile)),)
+            args = (draw(sized.streams),)
         else:  # pair
-            args = (draw(streams(profile)), draw(streams(profile)))
+            args = (draw(sized.streams), draw(sized.streams))
         out.append(FuzzCall(func=fn.name, args=args))
     return tuple(out)
 
 
 @st.composite
-def fault_schedules(draw, profile: FuzzProfile) -> str:
-    count = draw(st.integers(min_value=1, max_value=2))
+def fault_schedules(draw, sized: _Sized) -> str:
+    count = draw(_FAULT_COUNTS)
     specs = []
     for _ in range(count):
         specs.append(
             FaultSpec(
-                kind=draw(st.sampled_from(FAULT_KINDS)),
-                target=draw(st.sampled_from(FAULT_TARGETS)),
-                cycle=draw(st.integers(min_value=0, max_value=profile.max_fault_cycle)),
-                duration=draw(st.integers(min_value=1, max_value=3)),
-                bit=draw(st.one_of(st.none(), st.integers(min_value=0, max_value=7))),
+                kind=draw(_FAULT_KINDS),
+                target=draw(_FAULT_TARGETS),
+                cycle=draw(sized.fault_cycles),
+                duration=draw(_FAULT_DURATIONS),
+                bit=draw(_FAULT_BITS),
             )
         )
     return FaultSchedule(specs=tuple(specs)).token
 
 
 @st.composite
-def cases(draw, profile: FuzzProfile = PROFILES["quick"], with_faults: bool = False) -> FuzzCase:
-    """Complete fuzz cases (the strategy the session's property consumes)."""
-    topology = draw(topologies(profile))
-    calls = draw(calls_for(topology, profile))
+def _cases(draw, sized: _Sized, with_faults: bool) -> FuzzCase:
+    topology = draw(sized.topologies)
+    calls = draw(calls_for(topology, sized))
     faults = None
-    if with_faults and draw(st.booleans()):
-        faults = draw(fault_schedules(profile))
-    # Bias toward leap-enabled: that is the production configuration and the
-    # path with real optimisation machinery to get wrong.
-    leap = draw(st.sampled_from((True, True, True, False)))
+    if with_faults and draw(_FLAGS):
+        faults = draw(sized.fault_schedules)
+    leap = draw(_LEAPS)
     return FuzzCase(topology=topology, calls=calls, faults=faults, leap=leap)
+
+
+def cases(profile: FuzzProfile = PROFILES["quick"], with_faults: bool = False) -> st.SearchStrategy:
+    """Complete fuzz cases (the strategy the session's property consumes)."""
+    return _cases(_sized(profile), with_faults)

@@ -19,7 +19,7 @@ registration, or an explicit :meth:`CompiledSimulator.compile`) the kernel:
    combinational cycles at compile time with the offending signal path in
    the :class:`~repro.rtl.simulator.SimulationError` — before any cycle
    runs;
-4. **code-generates a fused ``step(n)`` loop** — clocked phase, non-observer
+4. **code-generates a fused cycle loop** — clocked phase, non-observer
    commit of scheduled signals, a *single* rank-ordered settle sweep gated
    by an integer event bitmask, and monitor dispatch — with every per-cycle
    attribute/property lookup hoisted into locals and every process call
@@ -63,8 +63,10 @@ The testbench side of a simulation lives inside the same generated loop:
 
 * **Lowered waits** — :meth:`CompiledSimulator.wait_until` dispatches a
   declarative :class:`~repro.rtl.simulator.WaitCondition` to generated
-  ``wait_eq``/``wait_ge`` loops sharing the per-cycle body with ``step``,
-  so a whole driver-call wait is one call with a slot compare per cycle.
+  ``wait_eq``/``wait_ge`` loops sharing one per-cycle body, so a whole
+  driver-call wait is one call with a slot compare per cycle.
+  :meth:`CompiledSimulator.step` is ``wait_eq`` on a condition that never
+  holds, so a fixed cycle count runs the same loop and ends at its limit.
 * **Fused monitors** — a monitor registered as the ``tick`` of a
   ``monitor`` FSM-IR spec (:meth:`repro.rtl.fsm.BoundFsm.emit_compiled_monitor`;
   the SIS protocol monitor is one) has its checks inlined from the same
@@ -92,15 +94,16 @@ The testbench side of a simulation lives inside the same generated loop:
 First-call compilation
 ----------------------
 
-A freeze emits four entry points (:data:`ENTRY_POINTS`): ``step``,
-``wait_eq``, ``wait_ge`` and ``settle_once``.  The first three each carry
-their own copy of the fused cycle body, yet most freezes call only one or
-two of them (the freeze inside ``reset()`` calls only ``settle_once``).  So
-a freeze stops at the per-entry source, and each entry is compiled and
-executed on its first call through ``step``, ``wait_until`` or ``settle``;
-it then stays until the next registration.  :meth:`CompiledSimulator.compile`
-compiles all four, which surfaces any codegen error at once and gives a
-benchmark an untimed warm-up.
+A freeze emits three entry points (:data:`ENTRY_POINTS`): ``wait_eq``,
+``wait_ge`` and ``settle_once``.  The first two each carry their own copy
+of the fused cycle body, yet most freezes call only one of them (the freeze
+inside ``reset()`` calls only ``settle_once``, and ``step(n)`` is the
+``wait_eq`` loop with a condition that never holds).  So a freeze stops at
+the per-entry source, and each entry is compiled and executed on its first
+call through ``step``, ``wait_until`` or ``settle``; it then stays until the
+next registration.  :meth:`CompiledSimulator.compile` compiles all three,
+which surfaces any codegen error at once and gives a benchmark an untimed
+warm-up.
 
 Reuse within a process
 ----------------------
@@ -154,7 +157,7 @@ _COMPILER_FINGERPRINT = hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
 
 #: The generated entry points, in the order :attr:`CompiledDesign.source`
 #: lists them.  Each is compiled on its first call after a freeze.
-ENTRY_POINTS = ("step", "wait_eq", "wait_ge", "settle_once")
+ENTRY_POINTS = ("wait_eq", "wait_ge", "settle_once")
 
 
 class CompiledProgramCache:
@@ -230,6 +233,11 @@ _ENTRY_CODE = LruMemo(ENTRY_CODE_MEMO_SIZE)
 
 #: Sentinel for "no timed wake pending" (compares greater than any cycle).
 _NEVER = 1 << 62
+
+
+#: The wait target of ``step(n)``, which is ``wait_eq(_UNREACHED, -1, n)``:
+#: no design registers this signal, so it stays 0 and never equals -1.
+_UNREACHED = Signal("unreached")
 
 
 def _default_program_cache() -> Optional[CompiledProgramCache]:
@@ -914,13 +922,14 @@ class CompiledSimulator(Simulator):
 
         The per-cycle body — clocked phase, inline commit, rank-ordered
         settle sweep, fused/called monitors — is shared verbatim between
-        three entry points: ``step(n)`` (a fixed cycle count), and
-        ``wait_eq``/``wait_ge`` (run until a signal reaches a target value,
-        the lowered form of :class:`~repro.rtl.simulator.WaitCondition`).
-        The wait loops check the signal's committed slot between cycles, so a
-        whole driver-call wait executes inside one generated-function call.
-        ``settle_once`` is the settle sweep alone.  Each source is a
-        self-contained definition, compiled on its own.
+        two entry points, ``wait_eq`` and ``wait_ge``: run until a signal
+        reaches a target value (the lowered form of
+        :class:`~repro.rtl.simulator.WaitCondition`) or a cycle limit is hit.
+        The loops check the signal's committed slot between cycles, so a
+        whole driver-call wait executes inside one generated-function call;
+        ``step(n)`` is ``wait_eq`` with a condition that never holds and a
+        limit of ``n``.  ``settle_once`` is the settle sweep alone.  Each
+        source is a self-contained definition, compiled on its own.
 
         ``fused_clocked`` / ``fused_comb`` carry the lowered FSM-IR machines
         (see :meth:`_fsm_blocks`): their bodies replace the ``c<cid>()`` /
@@ -1069,14 +1078,13 @@ class CompiledSimulator(Simulator):
             else:
                 leap_guard = f"if not sched and not s._events{hot_terms}:"
 
-            def leap_block(remaining: str) -> str:
-                # `_skip` is clamped to the cycles left in this call; the
-                # wake-target cycle itself (and everything after) executes
-                # normally.
-                return f"""\
+            # `_skip` is clamped to the cycles left in this call; the
+            # wake-target cycle itself (and everything after) executes
+            # normally.
+            leap_block = f"""\
             {leap_guard}
                 _skip = s._next_timed - cyc
-{fault_clamp}                _rem = {remaining} - _done
+{fault_clamp}                _rem = limit - _done
                 if _skip > _rem:
                     _skip = _rem
                 if _skip > 0:
@@ -1088,8 +1096,7 @@ class CompiledSimulator(Simulator):
 {leap_calls}                    continue
 """
         else:
-            def leap_block(remaining: str) -> str:
-                return ""
+            leap_block = ""
 
         has_mon_gates = any(line.startswith("if s._events & ") for line in mon_body)
         if gated:
@@ -1111,10 +1118,9 @@ class CompiledSimulator(Simulator):
             )
             phase_epilogue = f"            _clk += {len(always)}"
 
-        def cycle_body(remaining: str) -> str:
-            return f"""\
+        cycle_body = f"""\
 {phase_prologue}
-{leap_block(remaining)}{clocked_block}
+{leap_block}{clocked_block}
 {phase_epilogue}
             if sched:
                 d = s._events
@@ -1165,24 +1171,10 @@ def {name}(sig, target, limit):
         while {keep_waiting}:
             if _done >= limit:
                 return -1
-{cycle_body("limit")}
+{cycle_body}
     finally:
 {stats_flush}
     return _done
-"""
-
-        step_fn = f"""\
-def step(n):
-    s = SIM
-    sched = s._sched
-    stats = s.stats
-    cyc = s.cycle
-{entry_block}    _clk = _stl = _comb = _fast = _done = _leap = 0
-    try:
-        while _done < n:
-{cycle_body("n")}
-    finally:
-{stats_flush}
 """
 
         settle_fn = f"""\
@@ -1202,7 +1194,6 @@ def settle_once():
     return 1
 """
         return {
-            "step": step_fn,
             "wait_eq": wait_fn("wait_eq", "sig._value != target"),
             "wait_ge": wait_fn("wait_ge", "sig._value < target"),
             "settle_once": settle_fn,
@@ -1276,7 +1267,8 @@ def settle_once():
         return self._entry("settle_once")()
 
     def step(self, cycles: int = 1) -> None:
-        self._entry("step")(cycles)
+        # Reaching the limit is this wait's normal end, not a timeout.
+        self._entry("wait_eq")(_UNREACHED, -1, cycles)
 
     def wait_until(self, condition: WaitCondition, timeout: int = 100_000) -> int:
         """Run the lowered wait: the whole wait is one generated-loop call.

@@ -15,7 +15,7 @@ The compiled kernel (:class:`repro.rtl.compile.CompiledSimulator`) adds a
 *fast, non-observer commit path*: at compile time it stores a per-signal
 event bitmask in :attr:`Signal._ev_mask` (one bit per combinational process
 sensitive to the signal plus one bit per elidable clocked process reading
-it), and its generated ``step`` loop commits scheduled values by touching
+it), and its generated cycle loop commits scheduled values by touching
 ``_value``/``_next`` directly and OR-ing ``_ev_mask`` into the kernel's
 dirty word — no observer dispatch per signal.  :meth:`Signal.drive` still
 notifies the observer on change, which is how settle-phase updates feed the

@@ -90,7 +90,7 @@ class WaitCondition:
     evaluate without calling back into Python.  The event and reference
     kernels check the condition in a tight per-cycle loop (cycle-exact with
     ``run_until``: the condition is evaluated before each step); the compiled
-    kernel lowers the check into its generated fused step loop, so a whole
+    kernel lowers the check into its generated fused cycle loop, so a whole
     wait executes as one native-speed call.
 
     ``op`` is ``"=="`` (the default, wrap-safe for counters that increment by
@@ -493,7 +493,7 @@ class Simulator:
         :class:`SimulationError` — but expressed on a signal so kernels can
         evaluate it without a per-cycle Python callback.  This kernel checks
         the signal slot directly in a tight loop; the compiled kernel
-        overrides this with a wait lowered into its generated step loop.
+        overrides this with a wait lowered into its generated cycle loop.
         """
         sig = condition.signal
         target = condition.value

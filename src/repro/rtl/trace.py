@@ -21,9 +21,6 @@ class Trace:
         self.names: List[str] = list(names)
         self.samples: List[Dict[str, int]] = []
 
-    def append(self, sample: Dict[str, int]) -> None:
-        self.samples.append(dict(sample))
-
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -78,7 +75,9 @@ class TraceRecorder:
         simulator.add_monitor(self._sample)
 
     def _sample(self) -> None:
-        self.trace.append({s.name: s.value for s in self._signals})
+        # A fresh dict per cycle, read from the committed slots: stored as
+        # is, it needs no defensive copy.
+        self.trace.samples.append({s.name: s._value for s in self._signals})
 
     def observe_leap(self, cycles: int) -> None:
         """Account for ``cycles`` leaped cycles (compiled kernel only).
@@ -94,5 +93,5 @@ class TraceRecorder:
             # recorder attached (attaching recompiles, and a fresh freeze
             # marks everything pending), but sample defensively: values are
             # unchanged during a leap, so reading them now is still exact.
-            sample = {s.name: s.value for s in self._signals}
+            sample = {s.name: s._value for s in self._signals}
         samples.extend([sample] * cycles)

@@ -15,7 +15,7 @@ Two execution paths exist, both cycle-exact with each other:
   :class:`~repro.rtl.simulator.WaitCondition` on the master's
   completion-count signal rather than a per-cycle Python lambda, so every
   kernel can evaluate it natively (the compiled kernel runs the whole wait
-  inside its generated step loop).
+  inside its generated cycle loop).
 * :meth:`execute_script` — a whole driver call's beat sequence (writes,
   poll loop, reads, inter-operation gaps) queued on the master at once as a
   :class:`~repro.buses.base.TransactionScript`; one wait on the master's

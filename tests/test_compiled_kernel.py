@@ -115,7 +115,7 @@ class TestLevelization:
         assert design.comb_ranks == {0: 0, 1: 1}
         assert design.comb_order == [0, 1]
         assert design.levels == [[0], [1]]
-        assert "def step(n):" in design.source
+        assert "def wait_eq(sig, target, limit):" in design.source
 
     def test_registration_order_breaks_rank_ties(self):
         sim = CompiledSimulator()
@@ -307,10 +307,14 @@ _PING_SPEC = (
 )
 
 #: sha256 of ``design.source`` for ``build_runner("splice_plb",
-#: kernel="compiled")``, taken before the entry points were split apart.
-#: It proves the per-cycle code is unchanged; update it deliberately when
-#: the code generator changes.
-_SPLICE_PLB_SOURCE_SHA256 = "6171c13901f64d44eaddf44761e2113d92e5cce841a5a882139b54c5f0594651"
+#: kernel="compiled")``, taken when ``step`` became the ``wait_eq`` loop and
+#: stopped being an entry of its own.  Update it deliberately when the code
+#: generator changes.
+_SPLICE_PLB_SOURCE_SHA256 = "b1f4f079e13733762bd19fbd1aecfa5f3d588c974aea9d35457f7473639aa755"
+
+#: sha256 of the same design's ``wait_eq`` entry, unchanged since before the
+#: entry points were split apart: the per-cycle code every loop runs.
+_SPLICE_PLB_WAIT_EQ_SHA256 = "bec8667aabeb9c2689272a140d15a2a1a12ff33bef2e3d00c4275a2d5c014e8e"
 
 
 class TestFirstCallCompilation:
@@ -328,8 +332,9 @@ class TestFirstCallCompilation:
         assert set(sim._entries) == {"settle_once"}
         assert system.drivers["ping"](41) == 42
         assert set(sim._entries) == {"settle_once", "wait_eq"}
+        # step(n) runs the wait_eq loop: it compiles nothing new.
         sim.step(1)
-        assert set(sim._entries) == {"settle_once", "wait_eq", "step"}
+        assert set(sim._entries) == {"settle_once", "wait_eq"}
         assert sim.wait_until(WaitCondition(sim.signals[0], 0, op=">=")) == 0
         assert set(sim._entries) == set(ENTRY_POINTS)
 
@@ -353,8 +358,10 @@ class TestFirstCallCompilation:
     def test_splice_plb_source_is_unchanged(self):
         from repro.devices.registry import build_runner
 
-        source = build_runner("splice_plb", kernel="compiled").system.simulator.design.source
-        assert hashlib.sha256(source.encode()).hexdigest() == _SPLICE_PLB_SOURCE_SHA256
+        sim = build_runner("splice_plb", kernel="compiled").system.simulator
+        assert hashlib.sha256(sim.design.source.encode()).hexdigest() == _SPLICE_PLB_SOURCE_SHA256
+        wait_eq = sim._sources["wait_eq"]
+        assert hashlib.sha256(wait_eq.encode()).hexdigest() == _SPLICE_PLB_WAIT_EQ_SHA256
 
 
 class TestEntryCodeReuse:

@@ -241,6 +241,62 @@ class TestOracle:
         assert "pass" in VERDICT_KINDS
 
 
+class TestOneGenerationPerCase:
+    """A case generates its specification once and elaborates it per kernel."""
+
+    def test_a_case_calls_the_generator_once(self, monkeypatch):
+        from repro.core.engine import Splice
+
+        sources = []
+        generate = Splice.generate
+
+        def counting(self, source):
+            sources.append(source)
+            return generate(self, source)
+
+        monkeypatch.setattr(Splice, "generate", counting)
+        assert run_case(_case()).ok
+        assert sources == [_case().topology.spec_source()]
+
+    def test_each_kernel_gets_its_own_system(self, monkeypatch):
+        from repro.fuzz import oracle
+
+        systems = []
+        build = oracle.build_system
+
+        def recording(*args, **kwargs):
+            systems.append(build(*args, **kwargs))
+            return systems[-1]
+
+        monkeypatch.setattr(oracle, "build_system", recording)
+        assert run_case(_case()).ok
+        assert len(systems) == 3
+        # One generation result, three elaborations of it.
+        assert len({id(system.generation) for system in systems}) == 1
+
+        def parts(system):
+            stubs = [stub for group in system.peripheral.stubs.values() for stub in group]
+            drivers = list(system.drivers.drivers.values())
+            return [system.peripheral, system.simulator, system.drivers, *stubs, *drivers]
+
+        owned = [{id(part) for part in parts(system)} for system in systems]
+        for index, mine in enumerate(owned):
+            for theirs in owned[index + 1:]:
+                assert not mine & theirs
+
+    def test_a_generator_that_raises_is_the_first_kernels_builder_error(self, monkeypatch):
+        from repro.core.engine import Splice
+
+        def exploding(self, source):
+            raise RuntimeError("generator exploded")
+
+        monkeypatch.setattr(Splice, "generate", exploding)
+        verdict = run_case(_case())
+        assert verdict.kind == "builder_error"
+        assert verdict.kernel == "reference"
+        assert verdict.detail == "RuntimeError: generator exploded"
+
+
 class TestShrink:
     def test_minimizer_drops_irrelevant_structure(self):
         # The "bug": any case that still calls f2 with a non-empty stream.
@@ -337,6 +393,38 @@ class TestSessionContainment:
             digests.append(out.strip())
         assert digests[0].startswith("30 ")
         assert digests == [digests[0]] * 3
+
+    def test_case_stream_does_not_depend_on_earlier_sessions(self):
+        """The strategies are built once per process, so no state may leak
+        from one session into the next: a quick session run right after a
+        deep, faults-on one draws what it draws in a fresh process.
+
+        The deep session (seed 1, budget 10) passes every case in about a
+        second; faults-on seeds whose schedules wedge the handshake would
+        spend minutes shrinking a legitimate ``crash`` finding instead.
+        """
+        run_session(10, 1, profile="deep", with_faults=True, corpus_dir=None)
+        here = run_session(20, 3, profile="quick", corpus_dir=None)
+
+        script = (
+            "import json\n"
+            "from repro.fuzz.session import run_session\n"
+            "report = run_session(20, 3, profile='quick', corpus_dir=None)\n"
+            "print(json.dumps({'case_tokens': report.case_tokens, 'counterexamples':"
+            " [ce.describe() for ce in report.counterexamples]}))\n"
+        )
+        env = dict(os.environ)
+        repo_src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        fresh = json.loads(proc.stdout)
+        assert len(fresh["case_tokens"]) == 20
+        assert fresh == json.loads(json.dumps({
+            "case_tokens": here.case_tokens,
+            "counterexamples": [ce.describe() for ce in here.counterexamples],
+        }))
 
     def test_generation_pin_fails_loudly_without_the_hypothesis_hook(self, monkeypatch):
         from hypothesis.internal.conjecture import providers
