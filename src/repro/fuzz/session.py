@@ -15,15 +15,18 @@ shrinks it first), is minimised further by the domain-aware
 :func:`~repro.fuzz.shrink.minimize`, deduplicated by ``(kind, token)``,
 recorded as a :class:`~repro.fuzz.corpus.Counterexample`, optionally saved
 into the corpus, and the session moves on to the next round with whatever
-budget remains.  The session's exit code is nonzero only at the end, and
-only if counterexamples were found.
+budget remains.  A case whose verdict does not repeat when Hypothesis
+replays it (a wedged case can end as ``hang`` on one run and ``crash`` on
+the next, depending on host speed) is recorded as drawn, unshrunk, with
+that noted in its detail.  The session's exit code is nonzero only at the
+end, and only if counterexamples were found.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Union
 
@@ -31,6 +34,7 @@ import hypothesis
 from hypothesis import HealthCheck, Phase, Verbosity, given
 from hypothesis import seed as hyp_seed
 from hypothesis import settings as hyp_settings
+from hypothesis.errors import FlakyFailure
 
 from repro.fuzz.case import FuzzCase
 from repro.fuzz.corpus import Counterexample, save_case
@@ -61,6 +65,8 @@ class _CaseFailed(Exception):
         super().__init__(verdict.kind)
         self.case = case
         self.verdict = verdict
+        #: Set when the verdict did not repeat on Hypothesis's replay.
+        self.flaky = False
 
 
 @dataclass
@@ -212,7 +218,12 @@ def _run_round(
     examples: int,
     execute: Callable[[FuzzCase], None],
 ) -> Optional[_CaseFailed]:
-    """One deterministic Hypothesis round; returns the shrunk failure if any."""
+    """One deterministic Hypothesis round; returns the shrunk failure if any.
+
+    A failure that did not repeat on replay reaches here as Hypothesis's
+    ``FlakyFailure``; its first :class:`_CaseFailed` comes back unshrunk,
+    marked ``flaky``, with that noted in its verdict's detail.
+    """
 
     @hyp_settings(
         max_examples=examples,
@@ -232,6 +243,16 @@ def _run_round(
     try:
         property_()
     except _CaseFailed as failure:
+        return failure
+    except FlakyFailure as group:
+        failure = next((exc for exc in group.exceptions if isinstance(exc, _CaseFailed)), None)
+        if failure is None:
+            raise
+        failure.flaky = True
+        failure.verdict = replace(
+            failure.verdict,
+            detail=f"{failure.verdict.detail} (did not reproduce on replay)",
+        )
         return failure
     return None
 
@@ -315,7 +336,11 @@ def run_session(
             )
             return verdict.kind == kind
 
-        shrunk, attempts = minimize(failure.case, reproduces, max_attempts=attempts_cap)
+        if failure.flaky:
+            # A verdict that does not repeat cannot be minimised.
+            shrunk, attempts = failure.case, 0
+        else:
+            shrunk, attempts = minimize(failure.case, reproduces, max_attempts=attempts_cap)
         final_verdict = (
             failure.verdict
             if shrunk is failure.case

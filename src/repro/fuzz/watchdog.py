@@ -6,7 +6,9 @@ an unbounded one.  :func:`case_watchdog` brackets one case execution with a
 real-time alarm — ``signal.setitimer(ITIMER_REAL)`` plus a ``SIGALRM`` handler
 that raises :class:`CaseHang` *inside* the running Python frame, which unwinds
 the stuck kernel and lets the session record a ``hang`` counterexample and
-move on.
+move on.  The alarm repeats every ``timeout_s`` until the guard exits: one
+that lands in a callback whose exceptions Python ignores (a gc callback, a
+``__del__``) is swallowed there, and the next one still ends the case.
 
 ``SIGALRM`` can only be installed from the main thread (and does not exist on
 Windows).  Off the main thread — campaign worker processes use threads for
@@ -55,7 +57,7 @@ def case_watchdog(timeout_s: float):
         raise CaseHang(timeout_s)
 
     previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
+    signal.setitimer(signal.ITIMER_REAL, timeout_s, timeout_s)
     try:
         yield True
     finally:

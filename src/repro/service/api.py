@@ -22,7 +22,10 @@ Pure stdlib (``http.server``), no new dependencies.  Endpoints:
 * ``GET /jobs/<id>/events[?from=N]`` — NDJSON stream of the job's event log
   (submission, state changes, per-cell completions); the response stays
   open, emitting one JSON object per line, until the job reaches a terminal
-  state.  A compact job's log is gone: 410 with ``"evicted": true``.
+  state.  To an HTTP/1.1 request the stream is chunked and ends with the
+  zero-length chunk, so the connection stays open for the next request; to
+  an HTTP/1.0 request it is the bare lines, ended by closing the
+  connection.  A compact job's log is gone: 410 with ``"evicted": true``.
 * ``GET /jobs/<id>/result`` — the aggregated result as JSON.  Campaign
   jobs serve the :class:`~repro.campaign.result.CampaignResult` payload,
   bit-identical in its ``cells`` to ``splice campaign run`` on the same
@@ -37,17 +40,25 @@ Pure stdlib (``http.server``), no new dependencies.  Endpoints:
   rate.
 * ``GET /healthz`` — liveness probe.
 
-The server is a :class:`ThreadingHTTPServer`: each request handler runs on
-its own thread and reads the farm under the farm's lock, so many clients
-can stream different jobs' events concurrently.  Handlers copy what they
-need under the lock and serialize and send after releasing it, so a slow
-reader never stalls the dispatcher or another handler.
+The server is a :class:`ThreadingHTTPServer` speaking HTTP/1.1: each
+connection gets its own handler thread, which serves every request the
+client sends over it (a :class:`~repro.service.client.ServiceClient` keeps
+one connection open per calling thread, so that is one handler thread per
+connected client thread).  Handlers read the farm under the farm's lock, so
+many clients can stream different jobs' events concurrently; they copy what
+they need under the lock and serialize and send after releasing it, so a
+slow reader never stalls the dispatcher or another handler.  Accepted
+sockets have Nagle's algorithm off and a JSON response leaves in one send,
+so a request on a kept-alive connection never waits for the client's
+delayed ACK.  :meth:`FarmHTTPServer.server_close` also shuts the
+connections it keeps open, so a stopped server answers nothing more.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -75,6 +86,7 @@ class FarmRequestHandler(BaseHTTPRequestHandler):
     quiet: bool = True
     server_version = "splice-farm/1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # TCP_NODELAY on every accepted socket
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -90,7 +102,12 @@ class FarmRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
+        # end_headers() with the body in the same send: one segment per
+        # response instead of a header segment and a body segment.
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+            body = b"".join(self._headers_buffer) + body
+            self._headers_buffer = []
         self.wfile.write(body)
 
     def _error(self, code: int, message: str) -> None:
@@ -275,32 +292,71 @@ class FarmRequestHandler(BaseHTTPRequestHandler):
     def _stream_events(self, job, start: int) -> None:
         """NDJSON: one event object per line until the job is terminal.
 
-        No Content-Length — the response is delimited by connection close
-        (we set ``Connection: close`` so HTTP/1.1 clients read to EOF).
-        Each line is flushed as the event lands, so a client following a
+        To an HTTP/1.1 request each line is one chunk and the zero-length
+        chunk ends the stream, which leaves the connection open for the
+        client's next request.  HTTP/1.0 has no chunked coding (RFC 9112),
+        so there the lines go bare and closing the connection ends them.
+        Each line is sent as the event lands, so a client following a
         running job sees per-cell progress live.
         """
+        chunked = self.request_version >= "HTTP/1.1"
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Cache-Control", "no-store")
-        self.send_header("Connection", "close")
+        if chunked:
+            self.send_header("Transfer-Encoding", "chunked")
+        else:
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
-        self.close_connection = True
         try:
             for event in job.iter_events(start):
-                self.wfile.write((json.dumps(event, sort_keys=True) + "\n").encode())
-                self.wfile.flush()
+                line = (json.dumps(event, sort_keys=True) + "\n").encode()
+                self.wfile.write(b"%x\r\n%s\r\n" % (len(line), line) if chunked else line)
+            if chunked:
+                self.wfile.write(b"0\r\n\r\n")
         except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-stream; nothing to clean up
+            self.close_connection = True  # client went away mid-stream
 
 
 class FarmHTTPServer(ThreadingHTTPServer):
     """Threaded server tuned for bursty client pools: the stdlib default
     listen backlog of 5 drops connections (RST) the moment more than a
-    handful of clients submit at once."""
+    handful of clients submit at once.
+
+    It remembers its open connections so that :meth:`server_close` can shut
+    them: a kept-alive connection's handler thread otherwise goes on
+    answering from the stopped server's farm."""
 
     daemon_threads = True
     request_queue_size = 128
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._connections = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listening socket, then shut every open connection, which
+        ends its handler thread at its next read or write."""
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its handler
 
 
 def build_handler(farm: SimulationFarm, *, quiet: bool = True):

@@ -1,14 +1,19 @@
 """Stdlib HTTP client for the farm API (used by ``splice submit``).
 
-A thin wrapper over :mod:`http.client` — one short-lived connection per
-call, plus a line-buffered NDJSON reader for the streaming events endpoint.
-Kept dependency-free so examples and CI scripts can drive a farm with
-nothing but the standard library.
+A thin wrapper over :mod:`http.client` with a line-buffered NDJSON reader
+for the streaming events endpoint.  Each calling thread keeps one HTTP/1.1
+connection open and sends all its requests over it, event streams included
+(the server ends a stream with the zero-length chunk), so a job's submit,
+stream and status calls cost one TCP connection, not three.  Kept
+dependency-free so examples and CI scripts can drive a farm with nothing
+but the standard library.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import threading
 import time
 import uuid
 from http.client import HTTPConnection, HTTPException
@@ -35,8 +40,32 @@ class ServiceError(RuntimeError):
         self.retry_after = retry_after
 
 
+def _dropped(sock: socket.socket) -> bool:
+    """Whether an idle kept-alive socket reads as ready: the server closed
+    or reset it, or sent bytes that no request asked for."""
+    timeout = sock.gettimeout()
+    sock.settimeout(0)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
+    finally:
+        sock.settimeout(timeout)
+    return True
+
+
 class ServiceClient:
-    """Client for one farm server, e.g. ``ServiceClient("http://127.0.0.1:8032")``."""
+    """Client for one farm server, e.g. ``ServiceClient("http://127.0.0.1:8032")``.
+
+    One client may be shared by many threads: each thread keeps its own
+    kept-alive connection.  A connection is dropped, and the thread's next
+    call reconnects, when a request on it raises, when the server says it
+    will close it, when the caller leaves :meth:`events` before the stream
+    ends, and when it has gone idle and reads as closed (a server restart)
+    before a request is sent on it.
+    """
 
     #: Retry budget for idempotent requests: extra attempts after the first,
     #: and the first backoff (doubled per retry, capped at 1 s).  GETs are
@@ -57,8 +86,36 @@ class ServiceClient:
         self.host = parsed.hostname or "127.0.0.1"
         self.port = parsed.port or 8032
         self.timeout = timeout
+        self._local = threading.local()
 
     # -- plumbing ----------------------------------------------------------------
+
+    def _checkout(self) -> HTTPConnection:
+        """Take the calling thread's kept-alive connection for one request.
+
+        While a request holds it, another call on the same thread (say, a
+        status call while an :meth:`events` stream is suspended) gets a new
+        connection.  An idle kept-alive socket that reads as ready has been
+        closed by the server, so it is closed here, before anything is sent
+        on it: a DELETE or keyless POST is never retried, and must not be
+        lost to a dead socket.  ``HTTPConnection`` reconnects on its next
+        request.
+        """
+        connection = getattr(self._local, "connection", None)
+        self._local.connection = None
+        if connection is None:
+            return HTTPConnection(self.host, self.port, timeout=self.timeout)
+        if connection.sock is not None and _dropped(connection.sock):
+            connection.close()
+        return connection
+
+    def _release(self, connection: HTTPConnection, reusable: bool) -> None:
+        """Keep ``connection`` for the thread's next request if its last
+        response was read to the end; close it otherwise."""
+        if reusable and getattr(self._local, "connection", None) is None:
+            self._local.connection = connection
+        else:
+            connection.close()
 
     def _request_once(
         self,
@@ -67,28 +124,31 @@ class ServiceClient:
         body: Optional[dict] = None,
         headers: Optional[Mapping[str, str]] = None,
     ) -> dict:
-        connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        send_headers = dict(headers or {})
+        encoded = None
+        if body is not None:
+            encoded = json.dumps(body).encode()
+            send_headers["Content-Type"] = "application/json"
+        connection = self._checkout()
+        read = False
         try:
-            send_headers = dict(headers or {})
-            encoded = None
-            if body is not None:
-                encoded = json.dumps(body).encode()
-                send_headers["Content-Type"] = "application/json"
             connection.request(method, path, body=encoded, headers=send_headers)
             response = connection.getresponse()
-            payload = json.loads(response.read() or b"{}")
-            if response.status >= 400:
-                retry_after_raw = response.getheader("Retry-After")
-                try:
-                    retry_after = (None if retry_after_raw is None
-                                   else float(retry_after_raw))
-                except ValueError:
-                    retry_after = None
-                raise ServiceError(response.status, payload,
-                                   retry_after=retry_after)
-            return payload
+            raw = response.read()
+            read = True
         finally:
-            connection.close()
+            self._release(connection, read)
+        payload = json.loads(raw or b"{}")
+        if response.status >= 400:
+            retry_after_raw = response.getheader("Retry-After")
+            try:
+                retry_after = (None if retry_after_raw is None
+                               else float(retry_after_raw))
+            except ValueError:
+                retry_after = None
+            raise ServiceError(response.status, payload,
+                               retry_after=retry_after)
+        return payload
 
     def _request(
         self,
@@ -219,12 +279,14 @@ class ServiceClient:
         index = start
         failures = 0
         while True:
-            connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
+            connection = self._checkout()
+            read = False  # the response was read to its end
             try:
                 connection.request("GET", f"/jobs/{job_id}/events?from={index}")
                 response = connection.getresponse()
                 if response.status >= 400:
                     payload = json.loads(response.read() or b"{}")
+                    read = True
                     if response.status == 410 and payload.get("evicted"):
                         return  # long finished; the server dropped its log
                     raise ServiceError(response.status, payload)
@@ -234,6 +296,7 @@ class ServiceClient:
                         failures = 0
                         index += 1
                         yield json.loads(line)
+                read = True
                 return  # clean end of stream: the job reached a terminal state
             except (ConnectionError, HTTPException, OSError):
                 failures += 1
@@ -241,7 +304,9 @@ class ServiceClient:
                     raise
                 time.sleep(min(self.RETRY_BACKOFF_S * (2 ** (failures - 1)), 1.0))
             finally:
-                connection.close()
+                # A caller that leaves mid-stream (a break, or a TimeoutError
+                # in wait()) lands here with the stream unread: closed.
+                self._release(connection, read)
 
     def wait(self, job_id: str, *, timeout: Optional[float] = None) -> dict:
         """Follow the event stream until the job is terminal; returns the

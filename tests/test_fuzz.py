@@ -198,6 +198,29 @@ class TestWatchdog:
         with case_watchdog(0) as armed:
             assert armed is False
 
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+    def test_an_alarm_swallowed_by_a_gc_callback_fires_again(self):
+        """Python ignores an exception raised in a gc callback, so the first
+        alarm can be lost there; the guard must still end the case."""
+        import gc
+        import time
+
+        def slow_callback(phase, info):
+            if phase == "start":
+                time.sleep(0.4)  # the 0.2 s alarm lands in here
+
+        gc.callbacks.append(slow_callback)
+        started = time.monotonic()
+        try:
+            with pytest.raises(CaseHang):
+                with case_watchdog(0.2):
+                    gc.collect()
+                    while time.monotonic() - started < 3.0:
+                        pass
+        finally:
+            gc.callbacks.remove(slow_callback)
+        assert time.monotonic() - started < 1.5
+
     def test_oracle_reports_hang_for_wedged_kernel(self):
         verdict = run_case(
             _case(),
@@ -350,6 +373,33 @@ class TestSessionContainment:
         assert report.exit_code == 1
         failing = {ce.case.token for ce in report.counterexamples}
         assert set(report.case_tokens) - failing, "session never ran a passing case"
+
+    def test_a_verdict_that_flips_on_replay_is_recorded_unshrunk(
+        self, monkeypatch, tmp_path
+    ):
+        """A case that fails once and passes when Hypothesis replays it is a
+        finding as drawn, and the session still spends its whole budget."""
+        import repro.fuzz.session as session_mod
+
+        calls = {"n": 0}
+
+        def fails_first_run_only(case, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                return CaseVerdict("crash", "injected")
+            return run_case(case, **kwargs)
+
+        monkeypatch.setattr(session_mod, "run_case", fails_first_run_only)
+        found = []
+        report = run_session(3, 5, corpus_dir=tmp_path, on_finding=found.append)
+        assert report.executed == 3
+        (finding,) = report.counterexamples
+        assert found == [finding]
+        assert finding.verdict.kind == "crash"
+        assert finding.verdict.detail == "injected (did not reproduce on replay)"
+        assert finding.token == report.case_tokens[0]
+        assert finding.discovered["shrink_attempts"] == 0
+        assert len(report.saved_paths) == 1
 
     def test_session_is_deterministic(self):
         first = run_session(8, 21, corpus_dir=None, round_size=4)

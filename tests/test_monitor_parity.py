@@ -1,14 +1,16 @@
 """Monitor parity: each SIS violation rule fires identically on all kernels.
 
-The compiled kernel *fuses* the :class:`~repro.sis.protocol.SISProtocolMonitor`
-checks into its generated step loop (event-gated, state in locals) instead of
-calling ``sample()`` every cycle.  These tests deliberately trigger each of
+The :class:`~repro.sis.protocol.SISProtocolMonitor` is FSM IR (a
+``kind="monitor"`` spec per protocol variant); ``attach()`` registers its
+generated ``tick``.  The reference and event kernels call that tick after
+every cycle, while the compiled kernel *fuses* it into its generated loop
+(event-gated, state in locals).  These tests deliberately trigger each of
 the five violation rules by driving a bare SIS bundle from a scripted
 stimulus process, run the identical stimulus on the reference, event and
 compiled kernels, and assert the resulting :class:`ProtocolViolation`
 sequences — cycle, rule and detail text — are element-for-element identical,
 proving the fused path is observationally indistinguishable from the
-per-cycle Python path.
+per-cycle call.
 """
 
 import pytest

@@ -664,6 +664,184 @@ class TestClientResilience:
             list(client.events("j1"))
 
 
+@pytest.fixture
+def count_connects(monkeypatch):
+    """Patch a connect-counting ``HTTPConnection`` into the client module;
+    yields the list of calling-thread ids, one per TCP connection opened."""
+    import threading
+
+    import repro.service.client as client_mod
+
+    opened = []
+
+    class Counting(client_mod.HTTPConnection):
+        def connect(self):
+            opened.append(threading.get_ident())
+            super().connect()
+
+    monkeypatch.setattr(client_mod, "HTTPConnection", Counting)
+    return opened
+
+
+class TestKeptAliveConnection:
+    """Each client thread sends all its requests over one HTTP/1.1
+    connection, event streams included."""
+
+    def _cached_spec(self, client, seed):
+        spec = small_spec(name="keepalive", seed=seed)
+        assert client.submit_and_wait(spec, timeout=60)["state"] == DONE
+        return spec
+
+    def test_a_cached_job_uses_one_connection(self, served_farm, count_connects):
+        farm, client = served_farm
+        spec = self._cached_spec(client, 90)
+        fresh = ServiceClient(f"http://{client.host}:{client.port}")
+        count_connects.clear()
+        job = fresh.submit(spec)
+        events = list(fresh.events(job["id"]))
+        assert events[-1]["state"] == DONE
+        assert fresh.status(job["id"])["cells_cached"] == job["cells_total"]
+        assert fresh.result(job["id"])["cells"]
+        assert len(count_connects) == 1
+
+    def test_threads_sharing_a_client_keep_one_connection_each(
+        self, served_farm, count_connects
+    ):
+        import threading
+
+        farm, client = served_farm
+        spec = self._cached_spec(client, 91)
+        shared = ServiceClient(f"http://{client.host}:{client.port}")
+        count_connects.clear()
+        finished, errors = [], []
+
+        def twenty_jobs():
+            try:
+                for _ in range(20):
+                    job = shared.submit(spec)
+                    list(shared.events(job["id"]))
+                    finished.append(shared.status(job["id"])["state"])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=twenty_jobs) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert not errors, errors
+        assert finished == [DONE] * 40
+        assert sorted(count_connects) == sorted(t.ident for t in threads)
+
+    def test_status_after_leaving_the_event_stream_early(
+        self, served_farm, count_connects
+    ):
+        farm, client = served_farm
+        spec = self._cached_spec(client, 92)
+        fresh = ServiceClient(f"http://{client.host}:{client.port}")
+        job = fresh.submit(spec)
+        count_connects.clear()
+        for _event in fresh.events(job["id"]):
+            break
+        # The half-read stream's connection (the submit's) is dropped; the
+        # next call reconnects and the one after reuses that connection.
+        assert fresh.status(job["id"])["state"] == DONE
+        assert fresh.result(job["id"])["cells"]
+        assert len(count_connects) == 1
+        # A stream still suspended mid-way holds its connection: a call
+        # made meanwhile on the same thread gets another one.
+        stream = fresh.events(job["id"])
+        first = next(stream)
+        assert fresh.status(job["id"])["state"] == DONE
+        assert [first, *stream] == list(fresh.events(job["id"]))
+
+    @fork_only
+    def test_status_after_wait_times_out_mid_stream(self, count_connects):
+        _register("zz_slow", _SlowRunner)
+        try:
+            spec = CampaignSpec(
+                implementations=("zz_slow",), scenarios=SCENARIOS[:2],
+                name="keepalive-wait",
+            )
+            with SimulationFarm(workers=1, shard_size=1) as farm:
+                server, _thread = serve_farm_in_thread(farm)
+                try:
+                    client = ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
+                    job = client.submit(spec)
+                    with pytest.raises(TimeoutError):
+                        client.wait(job["id"], timeout=0.05)
+                    assert client.status(job["id"])["id"] == job["id"]
+                    assert client.wait(job["id"], timeout=60)["state"] == DONE
+                    # The submit's connection carried the abandoned stream
+                    # and was dropped; every later call used one more.
+                    assert len(count_connects) == 2
+                finally:
+                    server.shutdown()
+                    server.server_close()
+        finally:
+            _unregister("zz_slow")
+
+    def test_a_server_restarted_on_the_same_port_answers_the_old_client(self):
+        with SimulationFarm(workers=1, name="keepalive-old") as old_farm:
+            server, _thread = serve_farm_in_thread(old_farm)
+            try:
+                port = server.server_address[1]
+                client = ServiceClient(f"http://127.0.0.1:{port}")
+                job = client.submit(small_spec(name="keepalive-restart", seed=93))
+                assert client.wait(job["id"], timeout=60)["state"] == DONE
+            finally:
+                server.shutdown()
+                server.server_close()
+        with SimulationFarm(workers=1, name="keepalive-new") as new_farm:
+            server, _thread = serve_farm_in_thread(new_farm, port=port)
+            try:
+                # The DELETE goes first: it is never retried, so it must not
+                # be sent on the socket the old server shut.
+                for call in (client.cancel, client.status):
+                    with pytest.raises(ServiceError) as excinfo:
+                        call(job["id"])
+                    assert excinfo.value.status == 404
+                    assert "no such job" in str(excinfo.value)
+            finally:
+                server.shutdown()
+                server.server_close()
+
+    def test_a_stock_client_reuses_its_connection_without_stalling(self, served_farm):
+        from http.client import HTTPConnection
+
+        farm, client = served_farm
+        connection = HTTPConnection(client.host, client.port, timeout=30)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200 and not response.will_close
+                response.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.3, f"20 GETs on one connection took {elapsed:.3f}s"
+
+    def test_an_http_1_0_event_stream_is_bare_lines_to_eof(self, served_farm):
+        import json
+        import socket
+
+        farm, client = served_farm
+        job = client.submit(small_spec(name="keepalive-http10", seed=94))
+        expected = list(client.events(job["id"]))
+        with socket.create_connection((client.host, client.port), timeout=30) as sock:
+            sock.sendall(f"GET /jobs/{job['id']}/events HTTP/1.0\r\n\r\n".encode())
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"chunked" not in head.lower()
+        assert [json.loads(line) for line in body.splitlines()] == expected
+
+
 # ---------------------------------------------------------------------------
 # CLI integration (the `submit` front end is a pure HTTP client)
 # ---------------------------------------------------------------------------
