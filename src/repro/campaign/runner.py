@@ -162,11 +162,12 @@ def _run_on_farm(spec: CampaignSpec, cached: Dict[tuple, CellOutcome], pending: 
     ``cache`` as it lands; without a cache it persists nothing.
     """
     from repro.service.farm import DEFAULT_SHARD_SIZE, SimulationFarm
+    from repro.service.jobs import CAMPAIGN
 
     shard_size = min(DEFAULT_SHARD_SIZE, -(-pending // workers))
     workers = min(workers, -(-pending // shard_size))
     with SimulationFarm(workers, cache=cache, shard_size=shard_size) as farm:
-        job = farm._submit_campaign(spec, cached, cache is not None)
+        job = farm._submit(CAMPAIGN, spec, cached, persist=cache is not None)
         state = job.wait()
     if job.cells_done < len(job.cells):
         raise RuntimeError(job.events[-1].get("reason") or f"farm job ended {state}")

@@ -10,6 +10,8 @@ puts a queue and an HTTP API in front of it:
   priority job queue (FIFO within a priority, cancellation, per-job
   timeouts), and the shared content-addressed result cache in front of it
   all, so repeat submissions short-circuit without touching a worker.
+  Every scheduling decision is made by its
+  :class:`~repro.service.scheduler.Scheduler`, which does no I/O.
 * :func:`~repro.service.api.serve_farm` — the stdlib HTTP/JSON API:
   ``POST /jobs``, ``GET /jobs/<id>``, streaming NDJSON
   ``GET /jobs/<id>/events``, ``DELETE /jobs/<id>``, ``GET /stats``.

@@ -6,10 +6,11 @@ cache missed) a sequence of :class:`Shard` dispatches to warm workers, then
 aggregation into a :class:`~repro.campaign.result.CampaignResult` that is
 bit-identical to what ``splice campaign run`` produces for the same spec.
 
-Jobs are passive data plus an event log; all mutation happens under the
-farm's single condition lock (submission threads, HTTP handler threads and
-the dispatcher all share it), and every observable change appends an event
-and notifies the condition — that one mechanism drives ``wait()``, the
+Jobs are passive data plus an event log.  The farm's
+:class:`~repro.service.scheduler.Scheduler` mutates them under the farm's
+single condition lock (submission threads, HTTP handler threads and the
+dispatcher all share it); every observable change appends an event, and the
+farm then notifies the condition — that one mechanism drives ``wait()``, the
 streaming ``/jobs/<id>/events`` endpoint and the CLI progress display.
 
 A finished job does not keep all of that forever: once it drops out of the
@@ -30,7 +31,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.executor import CellError, CellOutcome
@@ -136,6 +137,7 @@ class Shard:
     cells: List[CampaignCell]
     attempts: int = 0
     worker_id: Optional[int] = None
+    #: Scheduler clock reading at the last dispatch.
     dispatched_at: Optional[float] = None
 
     def cell(self, key: tuple) -> CampaignCell:
@@ -155,6 +157,7 @@ class Job:
         priority: int = 0,
         timeout_s: Optional[float] = None,
         cond: Optional[threading.Condition] = None,
+        clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         if kind not in (CAMPAIGN, FUZZ):
             raise ValueError(f"unknown job kind {kind!r}")
@@ -164,6 +167,8 @@ class Job:
         self.priority = priority
         self.timeout_s = timeout_s
         self.cond = cond or threading.Condition()
+        #: Stamps ``submitted``/``started``/``finished`` and every event's ``t``.
+        self.clock = clock
         #: True when this Job object was rebuilt from the journal after a
         #: server restart rather than submitted by a client this lifetime.
         self.recovered = False
@@ -172,7 +177,7 @@ class Job:
 
         self.state = QUEUED
         self.submitted_wall = time.time()
-        self.submitted = time.perf_counter()
+        self.submitted = clock()
         self.started: Optional[float] = None
         self.finished: Optional[float] = None
 
@@ -201,7 +206,7 @@ class Job:
 
     @property
     def deadline(self) -> Optional[float]:
-        """perf_counter instant after which the job times out (from submit)."""
+        """Clock reading after which the job times out (from submit)."""
         if self.timeout_s is None:
             return None
         return self.submitted + self.timeout_s
@@ -216,7 +221,7 @@ class Job:
 
     @property
     def elapsed_s(self) -> float:
-        end = self.finished if self.finished is not None else time.perf_counter()
+        end = self.finished if self.finished is not None else self.clock()
         return end - self.submitted
 
     @property
@@ -229,21 +234,21 @@ class Job:
     # -- events (callers hold self.cond) ----------------------------------------
 
     def emit(self, event: str, **payload) -> dict:
-        """Append an event and wake every waiter/streamer.  Lock held."""
+        """Append an event to the log and return it.  Lock held; the caller
+        wakes the waiters and streamers."""
         record = {"event": event, "job": self.id, "t": round(self.elapsed_s, 6)}
         record.update(payload)
         self.events.append(record)
-        self.cond.notify_all()
         return record
 
-    def enter_state(self, state: str, **payload) -> None:
+    def enter_state(self, state: str, **payload) -> dict:
         """Transition and emit the matching state event.  Lock held."""
         self.state = state
         if state == RUNNING and self.started is None:
-            self.started = time.perf_counter()
+            self.started = self.clock()
         if state in TERMINAL_STATES:
-            self.finished = time.perf_counter()
-        self.emit("state", state=state, **payload)
+            self.finished = self.clock()
+        return self.emit("state", state=state, **payload)
 
     # -- observation -------------------------------------------------------------
 

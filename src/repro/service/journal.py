@@ -1,11 +1,13 @@
 """Durable write-ahead journal for the simulation farm.
 
 Everything the farm needs to survive a SIGKILL of the *server* process is
-one append-only NDJSON file under ``--state-dir``: one fsync'd JSON line
-per job state transition.  The journal is written *before* the transition
-is acted on (write-ahead), so after a hard kill the farm can replay the
-file and reconstruct every job that had been accepted but had not reached
-a terminal state.
+one append-only NDJSON file under ``--state-dir``: one JSON line per job
+state transition.  The journal always fsyncs; the farm writes records
+under its lock and commits them with one group fsync after releasing it,
+before it acknowledges the transition.  The journal is written *before*
+the transition is acted on (write-ahead), so after a hard kill the farm
+can replay the file and reconstruct every job that had been accepted but
+had not reached a terminal state.
 
 Record types (each a JSON object with a ``"type"`` key):
 
@@ -70,16 +72,14 @@ def append_jsonl(path: Union[str, Path], record: dict, *, fsync: bool = False) -
 
 
 class JobJournal:
-    """Append-only fsync'd NDJSON journal, safe for concurrent appenders.
+    """Append-only NDJSON journal, safe for concurrent appenders.
 
-    ``fsync=False`` trades the durability guarantee for speed (unit tests,
-    benchmarks isolating the serialization cost); the farm always runs the
-    default.
+    Always durable: :meth:`sync` fsyncs every record written before it, and
+    :meth:`compact` and :meth:`close` fsync too.
     """
 
-    def __init__(self, path: Union[str, Path], *, fsync: bool = True) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.fsync = fsync
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._sync_lock = threading.Lock()
@@ -114,8 +114,6 @@ class JobJournal:
         record already covered by a neighbour's fsync and return without
         touching the disk.
         """
-        if not self.fsync:
-            return
         target = self._written
         with self._sync_lock:
             if self._synced >= target:
@@ -152,8 +150,7 @@ class JobJournal:
                     fh.write(json.dumps(record, sort_keys=True,
                                         separators=(",", ":")) + "\n")
                 fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
+                os.fsync(fh.fileno())
             os.replace(tmp, self.path)
             self._fh = open(self.path, "a", encoding="utf-8")
             self._synced = self._written
@@ -162,8 +159,7 @@ class JobJournal:
         with self._sync_lock, self._lock:
             if not self._fh.closed:
                 self._fh.flush()
-                if self.fsync:
-                    os.fsync(self._fh.fileno())
+                os.fsync(self._fh.fileno())
                 self._fh.close()
             self._synced = self._written
 

@@ -51,7 +51,7 @@ import multiprocessing
 import os
 import queue
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.campaign.executor import CellError, ResidentRunners
@@ -230,49 +230,14 @@ def _run_fuzz_session(
 
 @dataclass
 class WorkerHandle:
-    """Parent-side view of one worker process."""
+    """Parent-side handle of one worker process.  What the worker is doing
+    is the scheduler's :class:`~repro.service.scheduler.WorkerState`."""
 
     worker_id: int
     process: multiprocessing.Process
     task_queue: object
     #: Read end of the worker's result pipe (see :func:`worker_main`).
     results: object
-    #: Shard currently dispatched to this worker, or None when idle.
-    busy: Optional[object] = None
-    ready: bool = False
-    #: Last stats dict the worker reported (ready/shard_done messages).
-    stats: Dict[str, object] = field(default_factory=dict)
-    #: Cumulative seconds this handle has had a shard in flight.
-    busy_s: float = 0.0
-    dispatched: int = 0
-    respawns: int = 0
-    #: perf_counter of the last message received from this worker — the
-    #: stuck-worker watchdog compares it against the dispatch instant.
-    last_message_at: Optional[float] = None
-    #: Set by the watchdog just before SIGKILL, so the respawn path can
-    #: attribute the death to heartbeat silence (``worker_stuck``) rather
-    #: than a crash (``worker_crash``).
-    stuck_kill: bool = False
-
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def snapshot(self) -> dict:
-        record = {
-            "worker": self.worker_id,
-            "alive": self.alive,
-            "ready": self.ready,
-            "busy": self.busy is not None,
-            "dispatched_shards": self.dispatched,
-            "busy_s": round(self.busy_s, 6),
-            "respawns": self.respawns,
-        }
-        for key in ("pid", "builds", "preloaded", "cells", "shards",
-                    "cell_errors", "sessions", "fuzz_errors", "resident"):
-            if key in self.stats:
-                record[key] = self.stats[key]
-        return record
 
 
 def spawn_worker(

@@ -315,6 +315,44 @@ class TestFarm:
         finally:
             _unregister("zz_raise")
 
+    @fork_only
+    def test_a_worker_that_dies_after_reporting_its_shard_is_not_retried(self):
+        """The dispatcher hands the scheduler a dead worker's last messages
+        before its exit.  Holding the farm lock keeps the dispatcher from
+        reading them while the worker finishes its first shard and is
+        killed; once the lock is free, that shard is done, not retried, and
+        the job's second shard runs on the respawned worker."""
+        _register("zz_slow", _SlowRunner)
+        try:
+            spec = CampaignSpec(implementations=("zz_slow",), scenarios=SCENARIOS[:2],
+                                name="reported-then-died")
+            with SimulationFarm(workers=1, shard_size=1) as farm:
+                slot = farm._workers[0]
+                with farm.lock:
+                    while not slot.ready:
+                        farm.lock.wait(0.05)
+                    job = farm.submit(spec)
+                    while not job.in_flight:
+                        farm.lock.wait(0.05)
+                    (shard,) = job.in_flight.values()
+                    while (slot.last_message_at or 0.0) <= shard.dispatched_at:
+                        farm.lock.wait(0.01)  # until its shard-start heartbeat
+                    # The dispatcher wakes with nothing from the worker to read
+                    # and waits for the lock while the worker reports its cell
+                    # and its shard boundary, and is killed.
+                    farm._wake()
+                    time.sleep(1.0)
+                    worker = farm._procs[0].process
+                    worker.kill()
+                    worker.join(timeout=10)
+                    assert not worker.is_alive()
+                assert job.wait(timeout=60) == DONE
+                assert farm.counters["shards_retried"] == 0
+                assert farm.counters["workers_respawned"] == 1
+                assert not [e for e in job.events if e["event"] == "shard_retry"]
+        finally:
+            _unregister("zz_slow")
+
 
 # ---------------------------------------------------------------------------
 # Chaos: worker kills and graceful drain
