@@ -1,85 +1,21 @@
-"""Shared fixtures for the benchmark harness."""
+"""Wall-clock gates: each compares two timings taken on the same host.
 
-import datetime
-import functools
-import json
-import os
-import subprocess
-from pathlib import Path
+``pytest benchmarks -q`` applies the full thresholds; ``--smoke`` applies
+the looser ones (and the smaller populations) meant for shared CI runners.
+The gates record nothing: they pass or fail.
+"""
 
 import pytest
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Append-only performance trajectory: one JSON line per benchmark run.
-#: Unlike the ``BENCH_*.json`` artifacts (which are overwritten in place and
-#: therefore only ever show the latest numbers), this file accumulates a
-#: timestamped record per run — `git sha`, the benchmark's headline numbers —
-#: so the perf history across PRs can be read straight from the repository.
-#: Records carry a ``mode`` field (``full`` vs ``smoke`` for
-#: ``--benchmark-disable`` runs) so trajectory readers can filter out
-#: smoke-mode numbers, which are gate checks, not measurements.  Set
-#: ``SPLICE_BENCH_HISTORY=0`` to suppress appends (e.g. local tinkering that
-#: should not dirty the tracked history).
-HISTORY_PATH = _REPO_ROOT / "BENCH_history.jsonl"
-
-_BENCHMARKS_DISABLED = False
-
-
-def pytest_configure(config):
-    global _BENCHMARKS_DISABLED
-    _BENCHMARKS_DISABLED = bool(config.getoption("benchmark_disable", False))
-
-
-@functools.lru_cache(maxsize=1)
-def _git_sha():
-    try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "HEAD"],
-                cwd=_REPO_ROOT,
-                capture_output=True,
-                text=True,
-                timeout=10,
-                check=True,
-            ).stdout.strip()
-            or None
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
-def record_history(bench: str, headline: dict) -> dict:
-    """Append this run's headline numbers to ``BENCH_history.jsonl``.
-
-    ``bench`` names the benchmark (by convention the ``test_bench_*`` module
-    stem); ``headline`` is a small JSON-serialisable dict — cycles/s, key
-    ratios — not the full artifact.  Returns the appended record.
-    """
-    record = {
-        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "git_sha": _git_sha(),
-        "bench": bench,
-        "mode": "smoke" if _BENCHMARKS_DISABLED else "full",
-        "headline": headline,
-    }
-    if os.environ.get("SPLICE_BENCH_HISTORY", "1") != "0":
-        with HISTORY_PATH.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    return record
-
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Run ``func`` exactly once under pytest-benchmark.
-
-    The experiments are deterministic cycle-accurate simulations, so a single
-    round is representative; this keeps the full benchmark sweep fast.
-    """
-    return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+def pytest_addoption(parser):
+    parser.addoption(
+        "--smoke",
+        action="store_true",
+        help="apply the smoke thresholds and sizes instead of the full ones",
+    )
 
 
 @pytest.fixture
-def once():
-    return run_once
+def smoke(request):
+    return request.config.getoption("smoke")

@@ -1,53 +1,13 @@
-"""Chapter 8 walk-through benchmark: generation speed and driver-call latency
-for the hardware timer device.
-
-The paper highlights that Splice "can generate interconnects almost
-instantly"; this bench measures end-to-end generation time for the Figure 8.2
-specification and the simulated bus-cycle cost of the Figure 8.8 test-suite
-sequence.  ``test_event_kernel_speedup`` additionally compares raw simulated
-cycles/second between the event-driven kernel and the snapshot-based
-reference kernel on the running timer.
+"""Event-driven kernel over the snapshot-based reference kernel on the
+Chapter 8 timer: ``test_event_kernel_speedup`` compares raw simulated
+cycles/second between the two on the running timer.
 """
 
 import math
 import time
 
-from conftest import record_history
-
-from repro.core.engine import Splice
-from repro.devices.timer import TIMER_SPEC, build_timer_system
+from repro.devices.timer import build_timer_system
 from repro.rtl import ReferenceSimulator, Simulator
-
-
-def test_timer_generation_speed(benchmark):
-    """Wall-clock cost of parse + validate + generate for the timer spec."""
-    result = benchmark(lambda: Splice().generate(TIMER_SPEC))
-    assert len(result.hardware_file_listing()) == 9  # interface + arbiter + 7 stubs
-
-
-def test_timer_test_suite_bus_cycles(benchmark, once):
-    """Bus cycles consumed by the Figure 8.8 software test-suite sequence."""
-
-    def run_suite():
-        timer = build_timer_system()
-        drivers = timer.drivers
-        drivers["disable"]()
-        drivers["get_clock"]()
-        drivers["set_threshold"](2_000)           # a short threshold keeps the bench quick
-        drivers["enable"]()
-        drivers["get_snapshot"]()
-        timer.system.run(2_100)                   # let the timer fire
-        status = drivers["get_status"]()
-        drivers["disable"]()
-        threshold = drivers["get_threshold"]()
-        return {"cycles": timer.cycles, "status": status, "threshold": threshold}
-
-    outcome = once(benchmark, run_suite)
-    print(f"\nTimer test-suite: {outcome['cycles']} bus cycles, "
-          f"status=0x{outcome['status']:x}, threshold={outcome['threshold']}")
-    assert outcome["status"] & 0b10  # the timer fired
-    assert outcome["threshold"] == 2_000
-
 
 #: Paired rounds behind the event/reference ratio, and cycles per kernel per
 #: round (20k cycles in all per kernel).
@@ -55,7 +15,7 @@ _SPEEDUP_ROUNDS = 10
 _SPEEDUP_CYCLES = 2_000
 
 
-def test_event_kernel_speedup(benchmark, once):
+def test_event_kernel_speedup(smoke):
     """Cycles/second of the event-driven kernel vs the reference kernel.
 
     Both kernels simulate the identical running timer (enabled, threshold far
@@ -65,63 +25,27 @@ def test_event_kernel_speedup(benchmark, once):
     Host speed drifts while the test runs, so, as in ``test_bench_idle.py``,
     each round times the two kernels back to back, the order alternates
     between rounds, and the gate reads the geometric mean of the per-round
-    ratios.  Best-of rates are reported alongside.
+    ratios.
     """
-
-    def measure():
-        systems = {}
-        for label, factory in (("reference", ReferenceSimulator), ("event", Simulator)):
-            timer = build_timer_system(simulator_factory=factory)
-            timer.drivers["set_threshold"](1 << 40)  # effectively never fires
-            timer.drivers["enable"]()
-            systems[label] = timer.system
-        best = {"reference": 0.0, "event": 0.0}
-        log_ratio_sum = 0.0
-        for round_ in range(_SPEEDUP_ROUNDS):
-            order = ("reference", "event") if round_ % 2 == 0 else ("event", "reference")
-            rates = {}
-            for label in order:
-                start = time.perf_counter()
-                systems[label].run(_SPEEDUP_CYCLES)
-                rates[label] = _SPEEDUP_CYCLES / (time.perf_counter() - start)
-                best[label] = max(best[label], rates[label])
-            log_ratio_sum += math.log(rates["event"] / rates["reference"])
-        return dict(best, ratio_gmean=math.exp(log_ratio_sum / _SPEEDUP_ROUNDS))
-
-    rates = once(benchmark, measure)
-    speedup = rates["ratio_gmean"]
-    record_history(
-        "timer",
-        {
-            "event_cycles_per_s": round(rates["event"], 1),
-            "reference_cycles_per_s": round(rates["reference"], 1),
-            "event_over_reference": round(speedup, 2),
-        },
-    )
-    print(
-        f"\nTimer kernel throughput (best of {_SPEEDUP_ROUNDS} rounds): "
-        f"event {rates['event']:,.0f} cycles/s, reference "
-        f"{rates['reference']:,.0f} cycles/s ({speedup:.1f}x paired gmean)"
-    )
-    if getattr(benchmark, "disabled", False):
-        # Smoke mode (--benchmark-disable, e.g. CI on shared runners): only
-        # require the event kernel to win, not the full margin.
+    systems = {}
+    for label, factory in (("reference", ReferenceSimulator), ("event", Simulator)):
+        timer = build_timer_system(simulator_factory=factory)
+        timer.drivers["set_threshold"](1 << 40)  # effectively never fires
+        timer.drivers["enable"]()
+        systems[label] = timer.system
+    log_ratio_sum = 0.0
+    for round_ in range(_SPEEDUP_ROUNDS):
+        order = ("reference", "event") if round_ % 2 == 0 else ("event", "reference")
+        rates = {}
+        for label in order:
+            start = time.perf_counter()
+            systems[label].run(_SPEEDUP_CYCLES)
+            rates[label] = _SPEEDUP_CYCLES / (time.perf_counter() - start)
+        log_ratio_sum += math.log(rates["event"] / rates["reference"])
+    speedup = math.exp(log_ratio_sum / _SPEEDUP_ROUNDS)
+    if smoke:
+        # Shared runners: only require the event kernel to win, not the
+        # full margin.
         assert speedup > 1.0, f"event-driven kernel slower than reference ({speedup:.2f}x)"
     else:
         assert speedup >= 3.0, f"event-driven kernel only {speedup:.2f}x faster"
-
-
-def test_driver_call_latency_plb(benchmark, once):
-    """Average bus cycles per generated-driver call on the PLB."""
-
-    def measure():
-        timer = build_timer_system()
-        drivers = timer.drivers
-        for _ in range(10):
-            drivers["get_snapshot"]()
-        calls = drivers["get_snapshot"].calls
-        return sum(c.cycles for c in calls) / len(calls)
-
-    cycles_per_call = once(benchmark, measure)
-    print(f"\nget_snapshot(): {cycles_per_call:.1f} bus cycles per driver call")
-    assert cycles_per_call > 0

@@ -26,7 +26,6 @@ setup(
     extras_require={
         "test": [
             "pytest",
-            "pytest-benchmark",
             "hypothesis",
         ],
     },

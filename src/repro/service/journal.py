@@ -53,13 +53,13 @@ JOURNAL_VERSION = 1
 JOURNAL_FILENAME = "journal.jsonl"
 
 
-def append_jsonl(path: Union[str, Path], record: dict, *, fsync: bool = False) -> None:
+def append_jsonl(path: Union[str, Path], record: dict) -> None:
     """Append one JSON line to ``path``, creating parent directories.
 
     The standalone helper (as opposed to :class:`JobJournal`) is for
     low-frequency appends that do not keep a file handle open — e.g. the
-    fuzz-coverage records the farm appends to a ``BENCH_history.jsonl``
-    trajectory file.
+    fuzz-coverage record the farm appends, per finished fuzz job, to the
+    file its caller names as ``history_path``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -67,8 +67,6 @@ def append_jsonl(path: Union[str, Path], record: dict, *, fsync: bool = False) -
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(line)
         fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
 
 
 class JobJournal:

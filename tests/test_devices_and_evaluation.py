@@ -26,6 +26,7 @@ from repro.evaluation.report import cycles_report, format_table, ratio_report, r
 from repro.evaluation.scenarios import SCENARIOS, scenario, scenario_table
 from repro.resources.estimator import estimate_entities, estimate_entity
 from repro.rtl import CompiledSimulator
+from repro.soc.system import build_system
 
 
 class TestTimerDevice:
@@ -59,6 +60,7 @@ class TestTimerDevice:
         timer.system.run(100)
         second = drivers["get_snapshot"]()
         assert second > first
+        assert all(call.cycles > 0 for call in drivers["get_snapshot"].calls)
 
     def test_disable_pauses_counting(self):
         timer = build_timer_system()
@@ -78,6 +80,7 @@ class TestTimerDevice:
     def test_generated_files_match_figure_8_3(self):
         timer = build_timer_system()
         listing = timer.system.generation.hardware_file_listing()
+        assert len(listing) == 9  # interface + arbiter + 7 stubs
         for expected in ("plb_interface.vhd", "user_hw_timer.vhd", "func_enable.vhd",
                          "func_get_snapshot.vhd"):
             assert expected in listing
@@ -155,6 +158,9 @@ class TestScenarios:
         # of 16; the set sizes themselves sum to 17, and we keep the set
         # sizes (the totals for the other scenarios match exactly).
         rows = scenario_table()
+        assert [(r["set1"], r["set2"], r["set3"]) for r in rows] == [
+            (2, 1, 2), (4, 2, 4), (8, 3, 6), (16, 4, 8),
+        ]
         assert [r["total"] for r in rows] == [5, 10, 17, 28]
         assert rows[2] == {"scenario": 3, "set1": 8, "set2": 3, "set3": 6, "total": 17}
 
@@ -227,6 +233,7 @@ class TestEvaluation:
 
     def test_figure_9_3_ordering(self, resources):
         slices = {label: resources[label].slices for label in IMPLEMENTATIONS}
+        assert all(v > 0 for v in slices.values())
         assert slices["splice_plb"] < slices["simple_plb"]
         assert slices["splice_fcb"] < slices["simple_plb"]
         assert slices["splice_plb_dma"] > slices["splice_plb"]
@@ -244,3 +251,44 @@ class TestEvaluation:
         assert "Slices" in resources_report(resources)
         assert "%" in ratio_report(cycle_ratio_summary(cycles), "ratios")
         assert "a" in format_table(["a"], [["1"]])
+
+
+class TestAblations:
+    """Design choices measured in cycles on the simulated SoC: packing, FCB
+    bursts, and the cost of the generated SIS path over a hand-coded slave."""
+
+    BASE_PLB = "%device_name dev\n%bus_type plb\n%bus_width 32\n%base_address 0x80000000\n"
+
+    @staticmethod
+    def _cycles(system, func, *args):
+        driver = system.drivers[func]
+        driver(*args)
+        return driver.last_call.cycles
+
+    def test_data_packing(self):
+        """Packing 16 chars (4 per beat) versus one char per beat."""
+        packed = build_system(self.BASE_PLB + "void sink(char*:16+ xs);\n")
+        unpacked = build_system(self.BASE_PLB + "void sink(char*:16 xs);\n")
+        data = list(range(16))
+        assert self._cycles(packed, "sink", data) < self._cycles(unpacked, "sink", data)
+
+    def test_fcb_bursts(self):
+        """FCB quad-word bursts versus the same payload on the simple OPB."""
+        fcb = build_system(
+            "%device_name dev\n%bus_type fcb\n%bus_width 32\n%burst_support true\n"
+            "void sink(int*:12 xs);\n"
+        )
+        opb = build_system(
+            "%device_name dev\n%bus_type opb\n%bus_width 32\n%base_address 0x80000000\n"
+            "void sink(int*:12 xs);\n"
+        )
+        data = list(range(12))
+        assert self._cycles(fcb, "sink", data) < self._cycles(opb, "sink", data)
+
+    def test_sis_indirection_overhead(self):
+        """Cycle overhead of the generated SIS path versus a raw hand-coded slave."""
+        sets = scenario(2).generate_inputs()
+        splice_fcb = build_splice_interpolator("splice_fcb").run_scenario(sets)["cycles"]
+        handcoded = build_optimized_fcb_system().run_scenario(sets)["cycles"]
+        overhead_percent = 100.0 * (splice_fcb / handcoded - 1.0)
+        assert 0.0 <= overhead_percent <= 35.0

@@ -573,6 +573,13 @@ class TestMutationAcceptance:
         for path in saved:
             assert replay_case(path).ok
 
+    def test_clean_kernels_survive_a_pinned_session(self):
+        """Seed 7, 120 cases on the real kernels: a finding here is a real
+        kernel bug or a strategy regression."""
+        report = run_session(120, 7, corpus_dir=None)
+        assert report.executed == 120
+        assert not report.counterexamples, [ce.describe() for ce in report.counterexamples]
+
     def test_shipped_corpus_found_real_divergences(self):
         """The committed corpus entries reproduce their recorded verdicts
         against the mutation that discovered them."""

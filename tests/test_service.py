@@ -8,9 +8,13 @@ FIFO fairness, cancellation at shard boundaries, per-job timeouts, the
 cache short-circuit, and worker-crash fault isolation.
 """
 
+import json
 import multiprocessing
+import os
 import sqlite3
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
 import pytest
@@ -406,6 +410,62 @@ class TestChaos:
                 assert job.errors == {}
             for spec, job in zip(specs, jobs):
                 assert job.result().payload() == run_campaign(spec).payload()
+
+    def test_farm_stays_available_under_worker_kills(self):
+        """24 real-simulation jobs run while a killer thread SIGKILLs a busy
+        worker up to 8 times.  Every job reaches a terminal state; a job
+        that completes is bit-identical to the batch runner, and a job that
+        fails carries only ``worker_crash`` rows (a cell killed twice)."""
+        specs = [
+            sweep_grid(
+                ScenarioSweep(mode="geometric", count=2, base=(16, 8, 16), max_size=512),
+                implementations=("splice_plb",),
+                seeds=(1000 + seed,),
+                repeats=2,
+                name=f"chaos-{seed}",
+            )
+            for seed in range(24)
+        ]
+        stop = threading.Event()
+        kills = []
+
+        def killer():
+            # Kill only while a worker is busy, not on a fixed clock, so the
+            # kills hit real shards; each is followed by a recovery window.
+            while not stop.is_set() and len(kills) < 8:
+                if farm.stats()["workers_busy"] > 0:
+                    killed = farm.kill_worker()  # busy-preferred SIGKILL
+                    if killed is not None:
+                        kills.append(killed)
+                        stop.wait(0.1)
+                        continue
+                stop.wait(0.005)
+
+        workers = max(2, min(4, os.cpu_count() or 1))
+        with SimulationFarm(workers=workers, shard_size=1, name="chaos-farm") as farm:
+            thread = threading.Thread(target=killer, name="chaos-killer", daemon=True)
+            thread.start()
+            try:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    jobs = list(pool.map(farm.submit, specs))
+                states = [job.wait(timeout=300) for job in jobs]
+            finally:
+                stop.set()
+                thread.join(timeout=5)
+            assert not thread.is_alive()
+            respawned = farm.counters["workers_respawned"]
+            # The farm is fully available once the chaos stops.
+            assert farm.submit(specs[0]).wait(timeout=120) == DONE
+
+        assert kills, "the killer thread never killed a worker"
+        assert respawned >= len(kills)
+        assert all(state in (DONE, FAILED) for state in states), states
+        for spec, job, state in zip(specs, jobs, states):
+            if state == DONE:
+                assert job.result().payload() == run_campaign(spec).payload(), spec.name
+            else:
+                assert job.errors, job.id
+                assert all(error.kind == "worker_crash" for error in job.errors.values())
 
 
 class TestDrain:
@@ -1155,6 +1215,29 @@ class TestFuzzJobs:
         assert runs[0]["sessions"] == runs[1]["sessions"]
         assert runs[0]["coverage"] == runs[1]["coverage"]
         assert runs[0]["counterexamples"] == runs[1]["counterexamples"]
+
+    def test_pinned_seed_range_finds_nothing_and_records_its_coverage(self, tmp_path):
+        """Four seeds × 40 cases sharded across warm workers: no finding,
+        some coverage, and the job's record in the farm's history file."""
+        from repro.service import FuzzJobSpec
+
+        spec = FuzzJobSpec(seed_start=7, sessions=4, budget=40, name="fuzz-farm")
+        history = tmp_path / "history.jsonl"
+        workers = max(2, min(4, os.cpu_count() or 1))
+        with SimulationFarm(workers=workers, name="fuzz-farm", history_path=history) as farm:
+            job = farm.submit_fuzz(spec)
+            assert job.wait(timeout=600) == DONE
+            result = job.fuzz_result()
+        assert result["executed"] == 4 * 40
+        assert not result["counterexamples"], result["counterexamples"]
+        assert result["coverage"], "a pinned fuzz run must cover at least one cell"
+        trajectory = [json.loads(line) for line in history.read_text().splitlines()]
+        assert any(
+            rec["headline"]["seed_start"] == 7
+            and rec["headline"]["sessions"] == 4
+            and rec["headline"]["coverage_cells"] == len(result["coverage"])
+            for rec in trajectory
+        ), trajectory
 
     def test_invalid_fuzz_spec_is_rejected(self, served_farm):
         farm, client = served_farm
