@@ -39,6 +39,7 @@ from repro.service import (
     JobJournal,
     ServiceClient,
     SimulationFarm,
+    append_jsonl,
     replay_journal,
 )
 
@@ -110,6 +111,12 @@ class TestJournal:
         replay = replay_journal(tmp_path / "nope.jsonl")
         assert replay.jobs == {}
         assert replay.seq == 0
+
+    def test_append_jsonl_adds_one_sorted_line_per_record(self, tmp_path):
+        path = tmp_path / "history" / "fuzz.jsonl"  # the parent is created
+        append_jsonl(path, {"seed": 7, "coverage": [1, 2]})
+        append_jsonl(str(path), {"seed": 8})
+        assert path.read_text(encoding="utf-8") == '{"coverage":[1,2],"seed":7}\n{"seed":8}\n'
 
     def test_compaction_keeps_live_jobs_and_fuzz_sessions_only(self, tmp_path):
         journal = JobJournal(tmp_path / JOURNAL_FILENAME)
