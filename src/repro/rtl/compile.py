@@ -42,6 +42,26 @@ are "elidable clocked process j must wake".  Each signal's
 process that reads it, so a committed or driven change is one ``|=`` — no
 sets, no dicts, no per-process scheduling structures.
 
+Per-cycle bookkeeping
+---------------------
+
+The loop keeps only the counters it cannot derive: settling cycles,
+combinational activations, leaped cycles, and one run count per gated
+clocked process.  At exit it derives the rest once: the call's cycles are
+the clock's advance, every cycle that did not settle (a leaped one
+included) took the fast path, and an always-run process ran on every
+executed cycle.  A call that an exception cuts short mid-cycle counts the
+cycles the clock advanced over, the settles that finished, and an
+always-run process once per such cycle; gated process runs and
+combinational activations are the ones that happened.  The activity word
+lives in a local for the whole call.
+The wake word is re-read after a process only when that process can drive
+a signal (a called process, or a lowered machine with a ``Call`` or
+``Drive`` op) and a gated process registered after it could wake.  A
+lowered machine's state dispatch is a plain ``if``/``elif`` chain unless
+one of its states can ``Redispatch``, which needs the bounded re-entry
+loop.
+
 Clocked wait-state elision
 --------------------------
 
@@ -955,23 +975,27 @@ class CompiledSimulator(Simulator):
         fused_clocked = fused_clocked or {}
         fused_comb = fused_comb or {}
 
+        last_gated = max(gated, default=-1)
         clocked_lines: List[str] = []
         for cid in range(len(self._clocked)):
+            spec = fused_clocked.get(cid)
+            # Refresh the wake word after a process that can drive a signal
+            # ran: a drive() of a declared input of a later-registered gated
+            # process wakes it within this very clocked phase — the
+            # same-cycle visibility the scan kernels have.  A called process
+            # or a lowered machine with a Call or Drive op can drive; a
+            # lowered machine without them only schedules, which wakes
+            # nobody before the commit.  (Reading the live event word only
+            # after such a run, instead of at every check, keeps the
+            # all-parked cycle at two ops per process.)
+            refresh = cid < last_gated and (spec is None or spec["may_drive"])
             if cid in always_set:
                 clocked_lines.append(f"            c{cid}()")
-                if gated:
-                    # Refresh the wake word after any process actually ran:
-                    # a clocked process that drive()s a declared input of a
-                    # later-registered gated process wakes it within this
-                    # very clocked phase — the same-cycle visibility the
-                    # scan kernels have.  (Reading the live event word only
-                    # after a run, instead of at every check, keeps the
-                    # all-parked cycle at two ops per process.)
+                if refresh:
                     clocked_lines.append(f"            run |= s._events >> {n_comb}")
             else:
                 clocked_lines.append(f"            if run & {gated_bit[cid]}:")
-                clocked_lines.append(f"                _clk += 1; _pr{cid} += 1")
-                spec = fused_clocked.get(cid)
+                clocked_lines.append(f"                _pr{cid} += 1")
                 if spec is None:
                     clocked_lines.append(
                         f"                if c{cid}(): nact |= {gated_bit[cid]}"
@@ -985,7 +1009,8 @@ class CompiledSimulator(Simulator):
                     clocked_lines.append(
                         f"                if {spec['act']}: nact |= {gated_bit[cid]}"
                     )
-                clocked_lines.append(f"                run |= s._events >> {n_comb}")
+                if refresh:
+                    clocked_lines.append(f"                run |= s._events >> {n_comb}")
         clocked_block = "\n".join(clocked_lines) or "            pass"
 
         def sweep_block(indent: str) -> str:
@@ -1010,7 +1035,7 @@ class CompiledSimulator(Simulator):
             return "\n".join(lines) or f"{indent}pass"
 
         monitor_lines = ["            " + line for line in mon_body]
-        monitor_block = "\n".join(monitor_lines) or "            pass"
+        monitor_block = "\n".join(monitor_lines)
         entry_lines = list(mon_entry)
         exit_lines: List[str] = []
         for cid, spec in sorted(fused_clocked.items()):
@@ -1030,15 +1055,14 @@ class CompiledSimulator(Simulator):
         if exit_block:
             exit_block += "\n"
 
+        # A settle is counted once its sweep has finished, so a sweep that
+        # raises leaves the derived fast-path count whole.
         settle_branch = f"""\
             if s._events & {comb_all}:
-                _stl += 1
 {sweep_block("                ")}
                 s._events &= {~comb_all}
-            else:
-                _fast += 1"""
-        if n_comb == 0:
-            settle_branch = "            _fast += 1"
+                _stl += 1
+""" if n_comb else ""
 
         # Fault-injection hook: generated only when a controller is attached,
         # so clean designs keep byte-identical source (and digests).  The
@@ -1084,15 +1108,13 @@ class CompiledSimulator(Simulator):
             leap_block = f"""\
             {leap_guard}
                 _skip = s._next_timed - cyc
-{fault_clamp}                _rem = limit - _done
+{fault_clamp}                _rem = _end - cyc
                 if _skip > _rem:
                     _skip = _rem
                 if _skip > 0:
                     cyc += _skip
                     s.cycle = cyc
-                    _done += _skip
                     _leap += _skip
-                    _fast += _skip
 {leap_calls}                    continue
 """
         else:
@@ -1102,27 +1124,24 @@ class CompiledSimulator(Simulator):
         if gated:
             phase_prologue = f"""\
             ev = s._events
-            run = (ev >> {n_comb}) | s._active
+            run = (ev >> {n_comb}) | act
             if cyc >= s._next_timed:
                 run |= s._pop_timed(cyc)
             s._events = ev & {comb_all}
             nact = 0"""
-            phase_epilogue = f"""\
-            s._active = nact
-            _clk += {len(always)}"""
+            phase_epilogue = "            act = nact\n"
         else:
             # No gated processes: the phase needs no wake word, but gated
             # monitor bits must still be consumed at the start of each cycle.
             phase_prologue = (
                 f"            s._events &= {comb_all}" if has_mon_gates else "            pass"
             )
-            phase_epilogue = f"            _clk += {len(always)}"
+            phase_epilogue = ""
 
         cycle_body = f"""\
 {phase_prologue}
 {leap_block}{clocked_block}
-{phase_epilogue}
-            if sched:
+{phase_epilogue}            if sched:
                 d = s._events
                 _ac = None
                 for _sg in sched:
@@ -1144,20 +1163,29 @@ class CompiledSimulator(Simulator):
                 if _ac is not None:
                     sched.extend(_ac)
                 s._events = d
-{settle_branch}
-{fault_hook}            cyc += 1
+{settle_branch}{fault_hook}            cyc += 1
             s.cycle = cyc
-{monitor_block}
-            _done += 1"""
+{monitor_block}"""
 
+        # Derived once per call (see "Per-cycle bookkeeping" above).
+        activations = [f"_pr{cid}" for cid in gated]
+        if always:
+            activations.append(f"{len(always)} * (_done - _leap)")
+        clocked_flush = (
+            f"        stats.clocked_activations += {' + '.join(activations)}\n"
+            if activations else ""
+        )
+        active_flush = "        s._active = act\n" if gated else ""
         stats_flush = f"""\
-{exit_block}        stats.cycles += _done
-        stats.clocked_activations += _clk
-        stats.settle_calls += _stl
+{exit_block}        _done = cyc - _start
+        stats.cycles += _done
+{clocked_flush}        stats.settle_calls += _stl
         stats.settle_iterations += _stl
         stats.comb_activations += _comb
-        stats.fast_path_cycles += _fast
-        stats.leaped_cycles += _leap"""
+        stats.fast_path_cycles += _done - _stl
+        stats.leaped_cycles += _leap
+{active_flush}"""
+        active_load = "    act = s._active\n" if gated else ""
 
         def wait_fn(name: str, keep_waiting: str) -> str:
             return f"""\
@@ -1165,16 +1193,16 @@ def {name}(sig, target, limit):
     s = SIM
     sched = s._sched
     stats = s.stats
-    cyc = s.cycle
-{entry_block}    _clk = _stl = _comb = _fast = _done = _leap = 0
+    cyc = _start = s.cycle
+    _end = cyc + limit
+{active_load}{entry_block}    _stl = _comb = _leap = 0
     try:
         while {keep_waiting}:
-            if _done >= limit:
+            if cyc >= _end:
                 return -1
 {cycle_body}
     finally:
-{stats_flush}
-    return _done
+{stats_flush}    return cyc - _start
 """
 
         settle_fn = f"""\

@@ -971,13 +971,15 @@ class BoundFsm:
                 else:
                     # The compiled kernel always honours timed wakes — park
                     # when the countdown is long enough to pay for the heap
-                    # traffic.  The break-even point belongs to the kernel:
-                    # with cycle leaping on, parking pays as soon as one
-                    # whole cycle can be skipped (threshold 1); without it,
-                    # short waits (arbitration, bridge crossings) stay
-                    # active because a couple of extra inlined runs are
-                    # cheaper than wake bookkeeping.  Countdowns re-check
-                    # their target either way.
+                    # traffic.  The break-even point belongs to the kernel,
+                    # which parks only countdowns longer than 3 cycles,
+                    # leaping or not: short waits (arbitration, bridge
+                    # crossings) stay active.  A threshold of 1 cut the
+                    # generated loop's opcodes per cycle by about 2.6% on
+                    # splice_plb and simple_plb (none on splice_fcb), but the
+                    # wake_after and _pop_timed calls it adds outside the
+                    # loop raised the whole cycle's by 1-2%.  Countdowns
+                    # re-check their target either way.
                     lines.append(indent + f"if {p}_d > s._sleep_threshold:")
                     lines.append(indent + f"    s.wake_after({p}_TICK, {p}_d)")
                 lines.append(indent + f"    {p}_act = False")
@@ -1067,6 +1069,17 @@ class BoundFsm:
         lines.append(indent + f"    s._events |= {sig}._ev_mask")
 
     def _emit_dispatch(self, indent: str, rename, lines: List[str], p: str) -> None:
+        if not any(isinstance(op, Redispatch) for op in self.spec._all_ops()):
+            # No state re-enters the chain: one pass runs one state body.
+            for index, name in enumerate(self._state_names):
+                keyword = "elif" if index else "if"
+                lines.append(indent + f"{keyword} {p}_st == {index}:")
+                body = self.spec.states[name]
+                if body:
+                    self._emit_ops(body, indent + "    ", rename, lines, p)
+                else:
+                    lines.append(indent + "    pass")
+            return
         # Bounded like the interpreter's dispatch (a Redispatch cycle must
         # fail loudly, not hang the generated loop); the for/else raises
         # only when 64 iterations never reached a break.
@@ -1179,9 +1192,11 @@ class BoundFsm:
         Returns ``entry`` lines (hoist bindings + the state register into
         function locals, once per generated call), per-cycle ``body`` lines
         (the machine inlined; sets ``<prefix>_act``), ``exit`` lines (write
-        the state name back to the owner), and the ``namespace`` the
-        generated module needs.  The body is emitted at zero indentation;
-        the kernel indents it under its run-gate.
+        the state name back to the owner), the ``namespace`` the generated
+        module needs, and ``may_drive``: whether a ``Call`` or ``Drive`` op
+        can change a signal while the machine runs, so that the kernel
+        re-reads the wake word after it.  The body is emitted at zero
+        indentation; the kernel indents it under its run-gate.
         """
         if self.spec.kind != "clocked":
             raise FsmError(f"FSM {self.spec.name!r} is not a clocked machine")
@@ -1202,6 +1217,7 @@ class BoundFsm:
             "exit": exit_,
             "namespace": namespace,
             "act": f"{p}_act",
+            "may_drive": any(isinstance(op, (Drive, Call)) for op in self.spec._all_ops()),
             "label": self.profile_label,
             "fingerprint": self.spec.fingerprint(),
         }

@@ -17,7 +17,7 @@ import threading
 import time
 import uuid
 from http.client import HTTPConnection, HTTPException
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Set, Union
 from urllib.parse import urlparse
 
 from repro.campaign.spec import CampaignSpec
@@ -64,7 +64,9 @@ class ServiceClient:
     call reconnects, when a request on it raises, when the server says it
     will close it, when the caller leaves :meth:`events` before the stream
     ends, and when it has gone idle and reads as closed (a server restart)
-    before a request is sent on it.
+    before a request is sent on it.  :meth:`close` (or leaving a ``with``
+    block) closes the kept connection of every thread; a later call on the
+    client reconnects.
     """
 
     #: Retry budget for idempotent requests: extra attempts after the first,
@@ -87,6 +89,24 @@ class ServiceClient:
         self.port = parsed.port or 8032
         self.timeout = timeout
         self._local = threading.local()
+        # Every thread's kept connection while it is idle, so close() can
+        # reach the connections of other threads too.
+        self._idle_lock = threading.Lock()
+        self._idle: Set[HTTPConnection] = set()
+
+    def close(self) -> None:
+        """Close the kept-alive connection of every thread that used the
+        client.  The client stays usable: its next call reconnects."""
+        with self._idle_lock:
+            for connection in self._idle:
+                connection.close()
+            self._idle.clear()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -105,6 +125,8 @@ class ServiceClient:
         self._local.connection = None
         if connection is None:
             return HTTPConnection(self.host, self.port, timeout=self.timeout)
+        with self._idle_lock:
+            self._idle.discard(connection)
         if connection.sock is not None and _dropped(connection.sock):
             connection.close()
         return connection
@@ -114,6 +136,8 @@ class ServiceClient:
         response was read to the end; close it otherwise."""
         if reusable and getattr(self._local, "connection", None) is None:
             self._local.connection = connection
+            with self._idle_lock:
+                self._idle.add(connection)
         else:
             connection.close()
 

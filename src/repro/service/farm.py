@@ -23,10 +23,11 @@ is the shell that feeds it events and carries out its effects.  It owns:
 * the one condition lock under which the scheduler runs and its effects
   are applied; journal records written under it are fsync'd as a group
   once it is released;
-* a dispatcher thread that hands the scheduler every worker message, each
-  worker's exit after that worker's last messages, and a tick at least
-  every :data:`POLL_INTERVAL_S`.  If the thread raises, every active job
-  fails with the error.
+* a dispatcher thread that hands the scheduler every worker message (and
+  carries out its effects before reading the next), each worker's exit
+  after that worker's last messages, and a tick at least every
+  :data:`POLL_INTERVAL_S`.  If the thread raises, every active job fails
+  with the error.
 
 Campaign grids (shards of cells) and fuzz jobs (one deterministic
 ``(seed, budget)`` session per shard, findings streamed as they land and
@@ -472,16 +473,23 @@ class SimulationFarm:
             raise
 
     def _drain(self, reader) -> None:
-        """Hand the scheduler every worker message already waiting on ``reader``."""
-        try:
-            while reader.poll():
+        """Hand the scheduler every worker message already waiting on
+        ``reader``, carrying out each one's effects before the next is read:
+        a cell whose cache write fails must fail its job before a later
+        ``shard_done`` can finish it."""
+        while True:
+            try:
+                if not reader.poll():
+                    return
                 message = reader.recv()
-                if message[0] != "wake":
-                    self._core.message(message)
-        except (EOFError, OSError):
-            # The worker has exited, possibly mid-message; the dispatcher
-            # reports the exit once the process is reaped.
-            reader.close()
+            except (EOFError, OSError):
+                # The worker has exited, possibly mid-message; the dispatcher
+                # reports the exit once the process is reaped.
+                reader.close()
+                return
+            if message[0] != "wake":
+                self._core.message(message)
+                self._apply()
 
     def _apply(self) -> None:
         """Lock held: carry out the scheduler's effects, in order.  Journal

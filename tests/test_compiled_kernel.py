@@ -182,6 +182,97 @@ class TestStatsParity:
         assert compiled["fast_path_cycles"] > 30  # the design really was quiet
 
 
+#: sha256 of the JSON of ``[stats.as_dict(), process_profile()]`` after each
+#: Figure 9.1 row (seed 0), per implementation and leap setting, on the
+#: compiled kernel.  Recorded while the generated loop still counted every
+#: cycle, fast-path cycle and clocked activation one at a time; the loop now
+#: derives them once per call, and must report exactly the same numbers.
+_COUNTER_DIGESTS = {
+    ("optimized_fcb", True): "592795b32b9cee5fc33ccaf9f6e5d03da54bfa10331cc543d5b1afa4d7178d50",
+    ("optimized_fcb", False): "592795b32b9cee5fc33ccaf9f6e5d03da54bfa10331cc543d5b1afa4d7178d50",
+    ("simple_plb", True): "e5a2899574f337fc8b2286815e05cd79cc9724ee38846132ca27bb25083ee858",
+    ("simple_plb", False): "e5a2899574f337fc8b2286815e05cd79cc9724ee38846132ca27bb25083ee858",
+    ("splice_apb", True): "6b5fe88fe60d01cdefdfba8921f9e63880abbde32359d493fd95a87c4f4303f9",
+    ("splice_apb", False): "6b5fe88fe60d01cdefdfba8921f9e63880abbde32359d493fd95a87c4f4303f9",
+    ("splice_fcb", True): "ff8d6fb263581d73d6f521fab9dee8a14aa2e0b14788b0d18b3f38eb4cd48a1c",
+    ("splice_fcb", False): "8ded5c914c837e9265522a7a4da4262de6a522b1e587aa76786127eb6f7242c4",
+    ("splice_opb", True): "b30fdff658af9120a16445c4f96097becfae183aa0874a3bed433a7d6b5236ec",
+    ("splice_opb", False): "abba00854b5ede286a52abaeaf94282e1b98d975b790ff09e9ccc8901b63565b",
+    ("splice_plb", True): "fd84d58a2d1f252bd5ca7319a19da5b7f9ccd97148356eeb0d2b6ad68cc49024",
+    ("splice_plb", False): "efaa2d36a4331730805141ae045f9dc5e749ad0a417b0b2fa2211ecc4488f7e0",
+    ("splice_plb_dma", True): "83974e52faac450f89ab1066dd2633620b645493e59727c3ee1b55e8b85d9368",
+    ("splice_plb_dma", False): "b213ad88ce25bb497067cfe89dc8978dc889227cbd0fb60e75a52a892c497942",
+}
+
+
+def _runner_simulator(runner):
+    return getattr(runner, "system", runner).simulator
+
+
+class TestCountersAtExit:
+    """``SimulatorStats`` and ``process_profile()`` are pinned to the values
+    the loop reported when it counted them per cycle."""
+
+    @pytest.mark.parametrize("label, leap", sorted(_COUNTER_DIGESTS))
+    def test_every_fig91_row_reports_the_pinned_counters(self, label, leap):
+        import json
+
+        from repro.devices.registry import build_runner
+        from repro.evaluation.scenarios import SCENARIOS
+
+        runner = build_runner(label, kernel="compiled", leap=leap)
+        sim = _runner_simulator(runner)
+        records = []
+        for row in SCENARIOS:
+            runner.run_scenario(row.generate_inputs(0))
+            records.append([sim.stats.as_dict(), sim.process_profile()])
+        text = json.dumps(records, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == _COUNTER_DIGESTS[label, leap], text
+
+    def test_a_timed_out_wait_reports_the_pinned_counters(self):
+        from repro.devices.registry import build_runner
+        from repro.evaluation.scenarios import SCENARIOS
+        from repro.rtl.signal import Signal
+
+        runner = build_runner("splice_plb", kernel="compiled")
+        sim = _runner_simulator(runner)
+        runner.run_scenario(SCENARIOS[0].generate_inputs(0))
+        with pytest.raises(SimulationError, match="timed out after 5000 cycles"):
+            sim.wait_until(WaitCondition(Signal("never"), 1), timeout=5000)
+        assert sim.stats.as_dict() == {
+            "cycles": 5105, "settle_calls": 20, "settle_iterations": 20,
+            "comb_activations": 20, "clocked_activations": 140,
+            "fast_path_cycles": 5085, "leaped_cycles": 5011, "executed_cycles": 94,
+        }
+        assert sim.process_profile() == [
+            {"label": "interp_plb.plb_master:plbmaster", "kind": "lowered", "gated": True,
+             "active": 64, "leaped": 5011, "elided": 30},
+            {"label": "func_interpolate:icob", "kind": "lowered", "gated": True,
+             "active": 30, "leaped": 5011, "elided": 64},
+            {"label": "plb_interface:plb_to_sis", "kind": "lowered", "gated": True,
+             "active": 46, "leaped": 5011, "elided": 48},
+        ]
+
+    def test_a_call_cut_short_in_the_settle_sweep_counts_whole_cycles(self):
+        """The second cycle's sweep raises.  The clock advanced one cycle and
+        one settle finished; the always-run process counts once, for that
+        cycle, and every comb activation that happened counts."""
+        sim = CompiledSimulator()
+        a = sim.signal("a", width=8)
+        b = sim.signal("b", width=8)
+        c = sim.signal("c", width=8)
+        d = sim.signal("d", width=8)
+        sim.add_comb(lambda: c.drive(b.value + 1), sensitive_to=[b], drives=[c])
+        sim.add_comb(lambda: b.drive(a.value + 1), sensitive_to=[a], drives=[d])
+        sim.add_clocked(lambda: setattr(a, "next", a.value + 1))
+        with pytest.raises(SimulationError, match="drives= set"):
+            sim.step(5)
+        assert sim.cycle == 1
+        stats = sim.stats.as_dict()
+        assert (stats["cycles"], stats["settle_calls"], stats["fast_path_cycles"]) == (1, 1, 0)
+        assert (stats["comb_activations"], stats["clocked_activations"]) == (3, 1)
+
+
 class TestWaitStateElision:
     def test_quiescent_gated_process_is_skipped_until_input_changes(self):
         sim = CompiledSimulator()
@@ -246,6 +337,47 @@ class TestWaitStateElision:
 
         assert run(Simulator) == run(CompiledSimulator)
 
+    def test_a_lowered_machines_call_that_drives_wakes_a_later_gated_process(self):
+        """The same, with the drive made by a ``Call`` helper of a lowered
+        FSM-IR machine: the compiled kernel must re-read the wake word after
+        a machine that has a ``Call`` op."""
+        from types import SimpleNamespace
+
+        from repro.rtl.fsm import Active, BoundFsm, Call, FsmSpec, If, StateDispatch
+
+        spec = FsmSpec(
+            name="kicker",
+            entry=(StateDispatch(),),
+            states={"run": (If("CYCLE == 4", (Call("kick"),)), Active("True"))},
+            helpers=("kick",),
+        )
+
+        def run(factory):
+            sim = factory()
+            x = sim.signal("x", width=8)
+            y = sim.signal("y", width=1)
+
+            def gated():
+                if x.value == 9 and y._next is None and not y.value:
+                    y.next = 1
+                    return True
+                return False
+
+            machine = BoundFsm(spec, SimpleNamespace(_simulator=sim),
+                               helpers={"kick": lambda: x.drive(9)})
+            sim.add_clocked(machine.tick, sensitive_to=[y])
+            sim.add_clocked(gated, sensitive_to=[x])
+            recorder = []
+            sim.add_monitor(lambda: recorder.append((x.value, y.value)))
+            sim.reset()
+            sim.step(8)
+            return recorder, getattr(sim, "design", None)
+
+        expected, _ = run(Simulator)
+        trace, design = run(CompiledSimulator)
+        assert design.fused_clocked == 1
+        assert trace == expected
+
     def test_undeclared_clocked_processes_always_run(self):
         sim = CompiledSimulator()
         sim.signal("unused", width=1)
@@ -307,14 +439,15 @@ _PING_SPEC = (
 )
 
 #: sha256 of ``design.source`` for ``build_runner("splice_plb",
-#: kernel="compiled")``, taken when ``step`` became the ``wait_eq`` loop and
-#: stopped being an entry of its own.  Update it deliberately when the code
-#: generator changes.
-_SPLICE_PLB_SOURCE_SHA256 = "b1f4f079e13733762bd19fbd1aecfa5f3d588c974aea9d35457f7473639aa755"
+#: kernel="compiled")``, taken when the loop stopped counting cycles,
+#: fast-path cycles and clocked activations one at a time and the state
+#: dispatch of a machine without ``Redispatch`` lost its bounded loop.
+#: Update it deliberately when the code generator changes.
+_SPLICE_PLB_SOURCE_SHA256 = "182715bfecf235c8b98547f0f1bd591fa72643022dad50b8bd62dd503c81eb8c"
 
-#: sha256 of the same design's ``wait_eq`` entry, unchanged since before the
-#: entry points were split apart: the per-cycle code every loop runs.
-_SPLICE_PLB_WAIT_EQ_SHA256 = "bec8667aabeb9c2689272a140d15a2a1a12ff33bef2e3d00c4275a2d5c014e8e"
+#: sha256 of the same design's ``wait_eq`` entry: the per-cycle code every
+#: loop runs.
+_SPLICE_PLB_WAIT_EQ_SHA256 = "a850d22c749563765dc4230f85e2399b5cc63eefbb0412399445c3a7f96f66f0"
 
 
 class TestFirstCallCompilation:

@@ -1,6 +1,7 @@
 """Tests for the example devices, baselines, resource model and evaluation harness."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.syntax.errors import SpliceGenerationError
 from repro.devices.baselines import (
@@ -86,7 +87,60 @@ class TestTimerDevice:
             assert expected in listing
 
 
+def _scanned_interpolation(set1, set2, set3):
+    """The seed's ``interpolate_fixed_point``, verbatim: every query scans
+    every stamp.  The oracle for the bisecting version."""
+    times = [int(v) for v in set1] or [0]
+    values = [int(v) for v in set2] or [0]
+    queries = [int(v) for v in set3] or [0]
+
+    total = 0
+    for query in queries:
+        # Locate the bracketing samples (clamping at the ends).
+        lo = 0
+        for index, stamp in enumerate(times):
+            if stamp <= query:
+                lo = index
+        hi = min(lo + 1, len(times) - 1)
+        v_lo = values[min(lo, len(values) - 1)]
+        v_hi = values[min(hi, len(values) - 1)]
+        t_lo, t_hi = times[lo], times[hi]
+        if t_hi == t_lo:
+            interpolated = v_lo << 16
+        else:
+            fraction = ((query - t_lo) << 16) // (t_hi - t_lo)
+            interpolated = (v_lo << 16) + (v_hi - v_lo) * fraction
+        total = (total + interpolated) & 0xFFFFFFFF
+    return total
+
+
+@st.composite
+def _interpolation_inputs(draw):
+    """Stamp sets of up to 255 elements, sorted or as drawn, from a span
+    wide enough for distinct stamps or narrow enough to repeat them (and
+    sometimes empty), with queries below, among and above the stamps."""
+    span = draw(st.sampled_from([16, 1 << 16]))
+    stamps = draw(st.lists(st.integers(0, span), max_size=255))
+    if draw(st.booleans()):
+        stamps.sort()
+    values = draw(st.lists(st.integers(0, (1 << 12) - 1), max_size=255))
+    lo, hi = (min(stamps), max(stamps)) if stamps else (0, 0)
+    query = st.one_of(
+        st.integers(lo - 100, lo - 1),
+        st.integers(lo, hi),
+        st.integers(hi + 1, hi + 100),
+        st.sampled_from(stamps) if stamps else st.just(0),
+    )
+    queries = draw(st.lists(query, max_size=255))
+    return stamps, values, queries
+
+
 class TestInterpolator:
+    @settings(max_examples=300, deadline=None)
+    @given(sets=_interpolation_inputs())
+    def test_bisection_equals_the_scan(self, sets):
+        assert interpolate_fixed_point(*sets) == _scanned_interpolation(*sets)
+
     def test_fixed_point_function_is_deterministic(self):
         sets = ([0, 100], [10, 20], [50, 75])
         assert interpolate_fixed_point(*sets) == interpolate_fixed_point(*sets)

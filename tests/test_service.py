@@ -357,6 +357,46 @@ class TestFarm:
         finally:
             _unregister("zz_slow")
 
+    @fork_only
+    def test_a_failing_cache_put_fails_its_job_and_wakes_its_waiter(self, tmp_path,
+                                                                     monkeypatch):
+        """Holding the farm lock while the worker runs its 2-cell shard puts
+        both cells and the shard's end on the pipe before the dispatcher
+        reads any of them.  The first cell's cache write raises, and that
+        fails the job before the shard's end can finish it, and wakes a
+        waiter already asleep in ``wait``."""
+        from repro.campaign.cache import ResultCache
+
+        def put(self, cell, outcome):
+            raise sqlite3.OperationalError("database or disk is full")
+
+        monkeypatch.setattr(ResultCache, "put", put)
+        _register("zz_slow", _SlowRunner)
+        try:
+            spec = CampaignSpec(implementations=("zz_slow",), scenarios=SCENARIOS[:2],
+                                name="put-fails")
+            woke = []
+            with SimulationFarm(workers=1, shard_size=2, cache=tmp_path / "cache") as farm:
+                slot = farm._workers[0]
+                with farm.lock:
+                    while not slot.ready:
+                        farm.lock.wait(0.05)
+                    job = farm.submit(spec)
+                    waiter = threading.Thread(
+                        target=lambda: woke.append((job.wait(timeout=5), time.monotonic())))
+                    waiter.start()
+                    # The waiter goes to sleep in wait() while the lock is free.
+                    while not job.in_flight:
+                        farm.lock.wait(0.05)
+                    time.sleep(1.0)  # two 0.15 s cells and the shard's end
+                    released = time.monotonic()
+                waiter.join(timeout=10)
+                assert woke and woke[0][0] == FAILED
+                assert woke[0][1] - released < 2.0, "the waiter slept out its timeout"
+                assert "dispatcher failed: OperationalError" in job.events[-1]["reason"]
+        finally:
+            _unregister("zz_slow")
+
 
 # ---------------------------------------------------------------------------
 # Chaos: worker kills and graceful drain
@@ -514,10 +554,8 @@ class TestDrain:
     def test_draining_farm_returns_503_over_http(self):
         with SimulationFarm(workers=1, name="drain-http") as farm:
             server, _thread = serve_farm_in_thread(farm)
+            client = ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
             try:
-                client = ServiceClient(
-                    "http://127.0.0.1:%d" % server.server_address[1]
-                )
                 assert farm.drain(timeout_s=1)["drained"] is True
                 with pytest.raises(ServiceError) as excinfo:
                     client.submit(small_spec(name="post-drain"))
@@ -526,6 +564,7 @@ class TestDrain:
                 assert client.healthz()["running"] is True
                 assert client.stats()["draining"] is True
             finally:
+                client.close()
                 server.shutdown()
                 server.server_close()
 
@@ -539,9 +578,11 @@ class TestDrain:
 def served_farm():
     with SimulationFarm(workers=2, name="test-farm") as farm:
         server, _thread = serve_farm_in_thread(farm)
+        client = ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
         try:
-            yield farm, ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
+            yield farm, client
         finally:
+            client.close()
             server.shutdown()
             server.server_close()
 
@@ -748,9 +789,9 @@ class TestClientResilience:
                 return response
 
         monkeypatch.setattr(client_mod, "HTTPConnection", Flaky)
-        resilient = ServiceClient(f"http://{client.host}:{client.port}")
-        resilient.RETRY_BACKOFF_S = 0.001
-        resumed = list(resilient.events(job["id"]))
+        with ServiceClient(f"http://{client.host}:{client.port}") as resilient:
+            resilient.RETRY_BACKOFF_S = 0.001
+            resumed = list(resilient.events(job["id"]))
         assert not state["armed"], "the injected cut never fired"
         assert resumed == full
 
@@ -793,13 +834,13 @@ class TestKeptAliveConnection:
     def test_a_cached_job_uses_one_connection(self, served_farm, count_connects):
         farm, client = served_farm
         spec = self._cached_spec(client, 90)
-        fresh = ServiceClient(f"http://{client.host}:{client.port}")
         count_connects.clear()
-        job = fresh.submit(spec)
-        events = list(fresh.events(job["id"]))
-        assert events[-1]["state"] == DONE
-        assert fresh.status(job["id"])["cells_cached"] == job["cells_total"]
-        assert fresh.result(job["id"])["cells"]
+        with ServiceClient(f"http://{client.host}:{client.port}") as fresh:
+            job = fresh.submit(spec)
+            events = list(fresh.events(job["id"]))
+            assert events[-1]["state"] == DONE
+            assert fresh.status(job["id"])["cells_cached"] == job["cells_total"]
+            assert fresh.result(job["id"])["cells"]
         assert len(count_connects) == 1
 
     def test_threads_sharing_a_client_keep_one_connection_each(
@@ -828,6 +869,7 @@ class TestKeptAliveConnection:
         for thread in threads:
             thread.join(timeout=120)
             assert not thread.is_alive()
+        shared.close()  # both threads' connections, from this one
         assert not errors, errors
         assert finished == [DONE] * 40
         assert sorted(count_connects) == sorted(t.ident for t in threads)
@@ -837,22 +879,22 @@ class TestKeptAliveConnection:
     ):
         farm, client = served_farm
         spec = self._cached_spec(client, 92)
-        fresh = ServiceClient(f"http://{client.host}:{client.port}")
-        job = fresh.submit(spec)
-        count_connects.clear()
-        for _event in fresh.events(job["id"]):
-            break
-        # The half-read stream's connection (the submit's) is dropped; the
-        # next call reconnects and the one after reuses that connection.
-        assert fresh.status(job["id"])["state"] == DONE
-        assert fresh.result(job["id"])["cells"]
-        assert len(count_connects) == 1
-        # A stream still suspended mid-way holds its connection: a call
-        # made meanwhile on the same thread gets another one.
-        stream = fresh.events(job["id"])
-        first = next(stream)
-        assert fresh.status(job["id"])["state"] == DONE
-        assert [first, *stream] == list(fresh.events(job["id"]))
+        with ServiceClient(f"http://{client.host}:{client.port}") as fresh:
+            job = fresh.submit(spec)
+            count_connects.clear()
+            for _event in fresh.events(job["id"]):
+                break
+            # The half-read stream's connection (the submit's) is dropped; the
+            # next call reconnects and the one after reuses that connection.
+            assert fresh.status(job["id"])["state"] == DONE
+            assert fresh.result(job["id"])["cells"]
+            assert len(count_connects) == 1
+            # A stream still suspended mid-way holds its connection: a call
+            # made meanwhile on the same thread gets another one.
+            stream = fresh.events(job["id"])
+            first = next(stream)
+            assert fresh.status(job["id"])["state"] == DONE
+            assert [first, *stream] == list(fresh.events(job["id"]))
 
     @fork_only
     def test_status_after_wait_times_out_mid_stream(self, count_connects):
@@ -864,8 +906,8 @@ class TestKeptAliveConnection:
             )
             with SimulationFarm(workers=1, shard_size=1) as farm:
                 server, _thread = serve_farm_in_thread(farm)
+                client = ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
                 try:
-                    client = ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
                     job = client.submit(spec)
                     with pytest.raises(TimeoutError):
                         client.wait(job["id"], timeout=0.05)
@@ -875,6 +917,7 @@ class TestKeptAliveConnection:
                     # and was dropped; every later call used one more.
                     assert len(count_connects) == 2
                 finally:
+                    client.close()
                     server.shutdown()
                     server.server_close()
         finally:
@@ -883,9 +926,9 @@ class TestKeptAliveConnection:
     def test_a_server_restarted_on_the_same_port_answers_the_old_client(self):
         with SimulationFarm(workers=1, name="keepalive-old") as old_farm:
             server, _thread = serve_farm_in_thread(old_farm)
+            port = server.server_address[1]
+            client = ServiceClient(f"http://127.0.0.1:{port}")
             try:
-                port = server.server_address[1]
-                client = ServiceClient(f"http://127.0.0.1:{port}")
                 job = client.submit(small_spec(name="keepalive-restart", seed=93))
                 assert client.wait(job["id"], timeout=60)["state"] == DONE
             finally:
@@ -902,8 +945,28 @@ class TestKeptAliveConnection:
                     assert excinfo.value.status == 404
                     assert "no such job" in str(excinfo.value)
             finally:
+                client.close()
                 server.shutdown()
                 server.server_close()
+
+    def test_close_shuts_every_threads_connection_and_a_later_call_reconnects(
+        self, served_farm, count_connects
+    ):
+        farm, client = served_farm
+        count_connects.clear()
+        with ServiceClient(f"http://{client.host}:{client.port}") as fresh:
+            assert fresh.healthz()["ok"]
+            other = threading.Thread(target=fresh.healthz)
+            other.start()
+            other.join(timeout=30)
+            assert not other.is_alive()
+            kept = list(fresh._idle)
+            assert len(kept) == 2 and all(c.sock is not None for c in kept)
+            fresh.close()
+            assert all(c.sock is None for c in kept)
+            assert fresh.healthz()["ok"]
+            assert len(count_connects) == 3
+        assert all(c.sock is None for c in fresh._idle)
 
     def test_a_stock_client_reuses_its_connection_without_stalling(self, served_farm):
         from http.client import HTTPConnection
@@ -1056,16 +1119,15 @@ class TestBackpressure:
     def test_http_saturation_is_503_with_retry_after_header(self):
         with SimulationFarm(workers=1, queue_limit=0) as farm:
             server, _thread = serve_farm_in_thread(farm)
+            client = ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
             try:
-                client = ServiceClient(
-                    "http://127.0.0.1:%d" % server.server_address[1]
-                )
                 with pytest.raises(ServiceError) as exc:
                     client.submit(small_spec(name="http-bounced"))
                 assert exc.value.status == 503
                 assert exc.value.retry_after is not None
                 assert exc.value.retry_after >= 1
             finally:
+                client.close()
                 server.shutdown()
                 server.server_close()
 
@@ -1279,9 +1341,11 @@ def small_windows(monkeypatch):
 def evicting_farm(small_windows):
     with SimulationFarm(workers=1, name="evicting-farm") as farm:
         server, _thread = serve_farm_in_thread(farm)
+        client = ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
         try:
-            yield farm, ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
+            yield farm, client
         finally:
+            client.close()
             server.shutdown()
             server.server_close()
 
@@ -1484,8 +1548,8 @@ class TestResponsesOutsideTheLock:
             server = FarmHTTPServer(("127.0.0.1", 0), Handler)
             thread = threading.Thread(target=server.serve_forever, daemon=True)
             thread.start()
+            client = ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
             try:
-                client = ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
                 job = client.submit(small_spec(name="lock-free", seed=77))
                 client.wait(job["id"], timeout=60)
                 held.clear()
@@ -1494,6 +1558,7 @@ class TestResponsesOutsideTheLock:
                 assert list(client.events(job["id"]))
                 assert held and not any(held), held
             finally:
+                client.close()
                 server.shutdown()
                 server.server_close()
 
