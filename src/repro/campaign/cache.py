@@ -197,20 +197,6 @@ class ResultCache:
                 self._conn.close()
                 self._conn = None
 
-    @property
-    def program_cache_dir(self) -> Path:
-        """Directory for the compiled kernel's persistent program cache.
-
-        A serial ``run_campaign`` exports this via
-        :data:`repro.rtl.compile.PROGRAM_CACHE_ENV`, and a farm hands it to
-        each of its workers, so every
-        :class:`~repro.rtl.compile.CompiledSimulator` reuses levelization +
-        codegen for identical design topologies instead of redoing them per
-        process.  Program entries carry their own compiler fingerprint in
-        the digest, so they invalidate independently of the result entries.
-        """
-        return self.directory / "programs"
-
     def get(self, cell: CampaignCell) -> Optional[Tuple[int, int, int]]:
         """The cached (result, cycles, transactions), or ``None`` on a miss."""
         digest = cell_digest(cell)

@@ -15,9 +15,7 @@ imported only when one is started, so a serial run never loads
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -25,33 +23,8 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.executor import CellError, CellOutcome, SerialExecutor, resolve_workers
 from repro.campaign.result import CampaignResult, cell_result
 from repro.campaign.spec import CampaignSpec
-from repro.rtl.compile import PROGRAM_CACHE_ENV
 
 Outcomes = Dict[tuple, Union[CellOutcome, CellError]]
-
-
-@contextmanager
-def _program_cache_env(cache: Optional[ResultCache]):
-    """Point compiled-kernel program caching at the campaign cache directory.
-
-    Exported through the environment because that is where every
-    :class:`~repro.rtl.compile.CompiledSimulator` this process builds looks
-    for it; only the in-process path needs this (a farm hands the directory
-    to its workers itself).  Restored afterwards so an un-cached campaign in
-    the same process does not silently keep writing into a stale directory.
-    """
-    if cache is None:
-        yield
-        return
-    previous = os.environ.get(PROGRAM_CACHE_ENV)
-    os.environ[PROGRAM_CACHE_ENV] = str(cache.program_cache_dir)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(PROGRAM_CACHE_ENV, None)
-        else:
-            os.environ[PROGRAM_CACHE_ENV] = previous
 
 
 def run_campaign(
@@ -147,8 +120,7 @@ def _execute(executor, pending, cache: Optional[ResultCache]) -> Outcomes:
         def on_result(cell, outcome, _put=cache.put):
             if not isinstance(outcome, CellError):
                 _put(cell, outcome)
-    with _program_cache_env(cache):
-        return executor.execute(pending, on_result)
+    return executor.execute(pending, on_result)
 
 
 def _run_on_farm(spec: CampaignSpec, cached: Dict[tuple, CellOutcome], pending: int,

@@ -25,12 +25,7 @@ from repro.rtl.simulator import (
     SimulatorStats,
     WaitCondition,
 )
-from repro.rtl.compile import (
-    PROGRAM_CACHE_ENV,
-    CompiledDesign,
-    CompiledProgramCache,
-    CompiledSimulator,
-)
+from repro.rtl.compile import CompiledDesign, CompiledSimulator
 from repro.rtl.module import Module
 from repro.rtl.fsm import (
     BoundFsm,
@@ -75,8 +70,6 @@ __all__ = [
     "Signal",
     "Simulator",
     "WaitCondition",
-    "CompiledProgramCache",
-    "PROGRAM_CACHE_ENV",
     "ReferenceSimulator",
     "CompiledSimulator",
     "CompiledDesign",

@@ -103,13 +103,6 @@ The testbench side of a simulation lives inside the same generated loop:
   cost O(1) regardless of length.  Constructor flag ``leap=False`` (CLI:
   ``--no-leap``) disables the fast path for debugging; designs with
   always-run clocked processes or unannotated monitors never leap.
-* **Persistent programs** — levelization + generated source are cached on
-  disk (:class:`CompiledProgramCache`, ``SPLICE_COMPILE_CACHE``), keyed by
-  a digest of the design topology and this compiler's own fingerprint, so
-  identical designs skip levelization and codegen across processes.  A hit
-  does not skip Python's ``compile()`` of the generated text, which is most
-  of a freeze's cost; first-call compilation and the in-process code memo
-  (below) are what bound that.
 
 First-call compilation
 ----------------------
@@ -140,8 +133,9 @@ memoized for the life of the process, each behind a constant bound:
   source, and is executed into the simulator's own namespace, so each
   system still binds its own ``SIM`` and signals.
 
-Neither changes a generated byte.  Across processes only the on-disk
-program cache is shared.
+Neither changes a generated byte, and nothing is shared across processes:
+a warm farm worker keeps its resident runners, and with them their frozen
+programs, for its whole life.
 
 ``tests/test_kernel_equivalence.py`` proves the whole construction
 cycle-exact (full signal traces, every cycle, plus identical monitor
@@ -152,91 +146,17 @@ snapshot-based reference kernel on all four buses.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import threading
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.rtl.memo import LruMemo
 from repro.rtl.signal import Signal
 from repro.rtl.simulator import Process, SimulationError, Simulator, WaitCondition
 
-#: Environment variable naming the persistent compiled-program cache
-#: directory.  When set (or when a cache is passed to the constructor),
-#: levelization + codegen results are reused across processes for identical
-#: design topologies — campaign workers and repeated ``build_system`` calls
-#: skip levelization and codegen (not Python's ``compile()`` of the result).
-PROGRAM_CACHE_ENV = "SPLICE_COMPILE_CACHE"
-
-#: Fingerprint of this compiler's own source: baked into every design digest
-#: so a change to the code generator invalidates all cached programs.
-_COMPILER_FINGERPRINT = hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
-
 #: The generated entry points, in the order :attr:`CompiledDesign.source`
 #: lists them.  Each is compiled on its first call after a freeze.
 ENTRY_POINTS = ("wait_eq", "wait_ge", "settle_once")
-
-
-class CompiledProgramCache:
-    """A directory of codegen results keyed by design digest.
-
-    Entries are single JSON files (``<digest>.json``) holding the generated
-    source of each entry point (``sources``, keyed by name) plus the
-    levelization (``order``/``ranks``) needed to rebuild the
-    :class:`CompiledDesign` introspection record without re-running Kahn's
-    algorithm.  The digest covers the complete design topology *and* the
-    compiler's own source fingerprint, so a hit is only possible for a design
-    this exact compiler version would compile identically; corrupt entries
-    are treated as misses.  Like the campaign result cache, the directory is
-    trusted — entries are executed, so do not point it at untrusted data.
-    """
-
-    def __init__(self, directory) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, digest: str) -> Path:
-        return self.directory / f"{digest}.json"
-
-    def get(self, digest: str) -> Optional[dict]:
-        path = self._path(digest)
-        try:
-            payload = json.loads(path.read_text())
-            sources = {name: payload["sources"][name] for name in ENTRY_POINTS}
-            if not all(isinstance(text, str) for text in sources.values()):
-                raise ValueError("missing source")
-            order = [int(x) for x in payload["order"]]
-            ranks = {int(k): int(v) for k, v in payload["ranks"].items()}
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return {"sources": sources, "order": order, "ranks": ranks}
-
-    def put(
-        self, digest: str, sources: Dict[str, str], order: List[int], ranks: Dict[int, int]
-    ) -> Path:
-        path = self._path(digest)
-        payload = {
-            "digest": digest,
-            "sources": dict(sources),
-            "order": list(order),
-            "ranks": {str(k): v for k, v in ranks.items()},
-        }
-        # Unique per pid *and* thread: the farm compiles programs from
-        # multiple threads of one process, so a pid-only temp name could
-        # still interleave two writers into a torn entry.
-        tmp = path.with_name(
-            f".{digest}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        return path
 
 
 #: Compiled entry points kept per process.  Entry sources repeat within a
@@ -258,16 +178,6 @@ _NEVER = 1 << 62
 #: The wait target of ``step(n)``, which is ``wait_eq(_UNREACHED, -1, n)``:
 #: no design registers this signal, so it stays 0 and never equals -1.
 _UNREACHED = Signal("unreached")
-
-
-def _default_program_cache() -> Optional[CompiledProgramCache]:
-    directory = os.environ.get(PROGRAM_CACHE_ENV)
-    if not directory:
-        return None
-    try:
-        return CompiledProgramCache(directory)
-    except OSError:
-        return None
 
 
 @dataclass
@@ -302,10 +212,6 @@ class CompiledDesign:
     fused_comb: int = 0
     #: FSM IR fingerprints of every lowered machine, in registration order.
     fsm_fingerprints: Tuple[str, ...] = ()
-    #: Content digest of the frozen design (compiler fingerprint included).
-    digest: str = ""
-    #: Whether this freeze reused a persistent program-cache entry.
-    program_cache_hit: bool = False
     #: Whether the generated loops include the cycle-leap fast path (the
     #: kernel's ``leap`` flag AND the design's static eligibility).
     leap: bool = False
@@ -363,12 +269,12 @@ class CompiledSimulator(Simulator):
 
     timed_wakes = True
 
-    def __init__(
-        self,
-        max_settle_iterations: int = 64,
-        program_cache: Optional[object] = None,
-        leap: bool = True,
-    ) -> None:
+    #: Always ``None``: there is no persistent program cache.  Kept because
+    #: ``perfbench/tracer.py`` reads it after every freeze and counts a
+    #: program-cache lookup only when it is set.
+    program_cache = None
+
+    def __init__(self, max_settle_iterations: int = 64, leap: bool = True) -> None:
         super().__init__(max_settle_iterations=max_settle_iterations)
         self._sched: List[Signal] = []
         # Observer fast path: scheduling reports are a plain list append (no
@@ -406,12 +312,6 @@ class CompiledSimulator(Simulator):
         self._sources: Optional[Dict[str, str]] = None
         self._namespace: Dict[str, object] = {}
         self._entries: Dict[str, Callable] = {}
-        if program_cache is None:
-            program_cache = _default_program_cache()
-        elif isinstance(program_cache, (str, Path)):
-            program_cache = CompiledProgramCache(program_cache)
-        #: Optional :class:`CompiledProgramCache` reused across freezes.
-        self.program_cache = program_cache
         self.design: Optional[CompiledDesign] = None
         # Per-clocked-process run counters (gated processes only; always-run
         # processes execute every cycle by construction).  Flushed from
@@ -467,8 +367,8 @@ class CompiledSimulator(Simulator):
 
         The fault hook (a one-compare guard in the fused cycle body plus a
         clamp on the cycle-leap span) is only *generated* when a controller
-        is attached — a clean design compiles to byte-identical source with
-        an unchanged digest, so fault support costs fault-free runs nothing.
+        is attached — a clean design compiles to byte-identical source, so
+        fault support costs fault-free runs nothing.
         """
         self._invalidate()
         super().inject_faults(controller)
@@ -756,45 +656,6 @@ class CompiledSimulator(Simulator):
                 fused_comb[pid] = hook(f"g{pid}")
         return fused_clocked, fused_comb
 
-    def _design_digest(self, monitor_text: str) -> str:
-        """Content address of the frozen design's codegen-relevant topology.
-
-        Two designs with the same digest produce byte-identical generated
-        source and identical levelization, so a persistent cache entry can be
-        reused across processes.  The digest covers: the compiler source
-        fingerprint, the signal count, every comb declaration's
-        sensitivity/drives structure (as registration indices), every clocked
-        declaration's gating, and the monitor sequence (fused monitors by
-        their emitted source, others by position).
-        """
-        index = {id(sig): i for i, sig in enumerate(self._signals)}
-
-        def key(sig: Signal) -> str:
-            pos = index.get(id(sig))
-            return str(pos) if pos is not None else f"x:{sig.name}:{sig.width}"
-
-        parts = [
-            _COMPILER_FINGERPRINT,
-            f"signals={len(self._signals)}",
-            # Leap is a runtime constructor flag, not covered by the compiler
-            # fingerprint, yet it changes the generated source.
-            f"leap={self._leap}",
-            # An attached fault schedule changes the generated source (the
-            # injection hook) *and* the run's meaning: folding its
-            # fingerprint in guarantees the program cache can never serve a
-            # faulted program as clean or vice versa.
-            f"faults={self._faults.fingerprint if self._faults is not None else 'none'}",
-        ]
-        for pid, (_, sense, driven) in enumerate(self._comb_decls):
-            s = ",".join(key(sig) for sig in sense) if sense is not None else "?"
-            d = ",".join(key(sig) for sig in driven) if driven is not None else "?"
-            parts.append(f"c{pid}:{s}|{d}")
-        for cid, (_, sense) in enumerate(self._clocked_decls):
-            s = ",".join(key(sig) for sig in sense) if sense is not None else "?"
-            parts.append(f"k{cid}:{s}")
-        parts.append(f"monitors:{monitor_text}")
-        return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
     def _build(self) -> None:
         comb_procs = [proc for proc, _, _ in self._comb_decls]
         n_comb = len(comb_procs)
@@ -837,44 +698,12 @@ class CompiledSimulator(Simulator):
         }
         self._proc_runs = [0] * len(self._clocked)
 
-        # Persistent program cache: identical topology -> reuse levelization
-        # and generated source, skipping Kahn's algorithm and codegen.  The
-        # hook text covers the monitors *and* every lowered FSM machine, so
-        # a change to any machine's IR changes the digest.
-        digest = ""
-        cached = None
-        cache = self.program_cache
-        if cache is not None:
-            hook_lines = list(mon_entry) + list(mon_body) + list(mon_exit)
-            # Leap eligibility and guard inputs shape the generated source
-            # but are invisible to the declaration topology — hash them too.
-            hook_lines.append(
-                f"leap:{leap_static}:{','.join(leap_info['calls'])}:"
-                f"{'|'.join(leap_info['hot'])}"
-            )
-            for spec in fused_clocked.values():
-                hook_lines += spec["entry"] + spec["body"] + spec["exit"]
-                hook_lines.append(spec["fingerprint"])
-            for spec in fused_comb.values():
-                hook_lines += spec["body"]
-                hook_lines.append(spec["fingerprint"])
-            monitor_text = hashlib.sha256("\n".join(hook_lines).encode()).hexdigest()
-            digest = self._design_digest(monitor_text)
-            cached = cache.get(digest)
-
-        if cached is not None:
-            order = cached["order"]
-            ranks = cached["ranks"]
-            sources = cached["sources"]
-        else:
-            order, ranks = self._levelize()
-            sources = self._codegen(
-                order, gated, always, n_comb, mon_entry, mon_body, mon_exit,
-                fused_clocked, fused_comb,
-                leap_info=leap_info if leap_static else None,
-            )
-            if cache is not None:
-                cache.put(digest, sources, order, ranks)
+        order, ranks = self._levelize()
+        sources = self._codegen(
+            order, gated, always, n_comb, mon_entry, mon_body, mon_exit,
+            fused_clocked, fused_comb,
+            leap_info=leap_info if leap_static else None,
+        )
 
         levels: List[List[int]] = []
         for pid in order:
@@ -914,8 +743,6 @@ class CompiledSimulator(Simulator):
                 spec["fingerprint"]
                 for spec in list(fused_clocked.values()) + list(fused_comb.values())
             ),
-            digest=digest,
-            program_cache_hit=cached is not None,
             leap=leap_static,
         )
 
@@ -1065,11 +892,11 @@ class CompiledSimulator(Simulator):
 """ if n_comb else ""
 
         # Fault-injection hook: generated only when a controller is attached,
-        # so clean designs keep byte-identical source (and digests).  The
-        # guard sits after the settle branch — monitors on this very cycle
-        # observe the faulted values, clocked processes see them next cycle —
-        # and the leap span below is clamped to the next scheduled fault
-        # cycle, so a fault cycle is always executed, never leaped over.
+        # so clean designs keep byte-identical source.  The guard sits after
+        # the settle branch — monitors on this very cycle observe the faulted
+        # values, clocked processes see them next cycle — and the leap span
+        # below is clamped to the next scheduled fault cycle, so a fault
+        # cycle is always executed, never leaped over.
         faulted = self._faults is not None
         if faulted:
             fault_hook = (

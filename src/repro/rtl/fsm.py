@@ -87,12 +87,12 @@ combinational cycles.  :func:`detect_drive_conflicts` additionally reports
 two bound machines combinationally driving the same signal.
 
 Every spec has a content :meth:`~FsmSpec.fingerprint`; the compiled kernel
-folds the emitted machine source into its design digest (so program-cache
-entries are IR-exact) and the campaign result cache folds
-:func:`fsm_ir_fingerprint` into every cell digest.  Lowering is a pure
-function of the spec and a small key, so each spec memoizes its lowered
-text (:meth:`BoundFsm._lowered_body`): a process lowers a machine once,
-not once per elaboration freeze.
+lists the fingerprint of every machine it lowers
+(:attr:`~repro.rtl.compile.CompiledDesign.fsm_fingerprints`), and the
+campaign result cache folds :func:`fsm_ir_fingerprint` into every cell
+digest.  Lowering is a pure function of the spec and a small key, so each
+spec memoizes its lowered text (:meth:`BoundFsm._lowered_body`): a process
+lowers a machine once, not once per elaboration freeze.
 """
 
 from __future__ import annotations

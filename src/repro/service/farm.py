@@ -142,8 +142,7 @@ class SimulationFarm:
 
         # Without an explicit cache directory the farm still runs one — an
         # ephemeral per-instance directory — because the cache is what makes
-        # serving cheap: repeat submissions short-circuit, and the compiled
-        # program cache under it is what keeps workers warm across respawns.
+        # serving cheap: repeat submissions short-circuit.
         self._ephemeral_cache_dir: Optional[str] = None
         if cache is None:
             self._ephemeral_cache_dir = tempfile.mkdtemp(prefix="splice-farm-cache-")
@@ -518,7 +517,7 @@ class SimulationFarm:
                 self._append_history(target)
 
     def _spawn(self, worker_id: int) -> WorkerHandle:
-        return spawn_worker(self._ctx, worker_id, self.cache.program_cache_dir, self.preload)
+        return spawn_worker(self._ctx, worker_id, self.preload)
 
     def _journal_sync(self) -> None:
         if self._journal is not None:

@@ -2,11 +2,10 @@
 
 A worker process lives as long as its farm: a ``splice serve`` lifetime,
 or one multi-worker ``run_campaign``.  It keeps every runner it has ever
-built in an in-process dictionary keyed by ``(label, kernel)`` and points
-the compiled kernel at the farm's shared
-:class:`~repro.rtl.compile.CompiledProgramCache` directory, so after the
-first shard touches an implementation, every later one pays neither spec
-parsing, nor elaboration, nor codegen for it.
+built in an in-process dictionary keyed by ``(label, kernel)``, so after
+the first shard touches an implementation, every later one pays neither
+spec parsing, nor elaboration, nor codegen for it.  A respawned worker
+starts cold.
 
 Protocol (all messages are small picklable tuples):
 
@@ -52,10 +51,9 @@ import os
 import queue
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.campaign.executor import CellError, ResidentRunners
-from repro.rtl.compile import PROGRAM_CACHE_ENV
 
 #: Minimum seconds between fuzz-case heartbeats (campaign shards heartbeat
 #: implicitly through per-cell messages; fuzz sessions run many cases per
@@ -83,7 +81,6 @@ def worker_main(
     worker_id: int,
     task_queue,
     results,
-    program_cache_dir: Optional[str],
     preload: Sequence,
 ) -> None:
     """Worker process entry point (module-level, so it pickles under spawn).
@@ -100,13 +97,6 @@ def worker_main(
     the stop message.
     """
     send = results.send
-
-    if program_cache_dir:
-        # Reaches every CompiledSimulator this process ever builds; the
-        # content-addressed program cache turns levelization and codegen of
-        # a known topology into a disk read.
-        os.environ[PROGRAM_CACHE_ENV] = str(program_cache_dir)
-
     runners = ResidentRunners()
     stats = {
         "worker": worker_id,
@@ -243,7 +233,6 @@ class WorkerHandle:
 def spawn_worker(
     context,
     worker_id: int,
-    program_cache_dir: Optional[str],
     preload: Sequence,
 ) -> WorkerHandle:
     """Start one worker process with its own task queue and result pipe."""
@@ -251,9 +240,7 @@ def spawn_worker(
     results, writer = context.Pipe(duplex=False)
     process = context.Process(
         target=worker_main,
-        args=(worker_id, task_queue, writer,
-              str(program_cache_dir) if program_cache_dir else None,
-              tuple(preload)),
+        args=(worker_id, task_queue, writer, tuple(preload)),
         daemon=True,
         name=f"splice-farm-worker-{worker_id}",
     )

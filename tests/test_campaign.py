@@ -692,11 +692,15 @@ class TestCache:
         assert run_campaign(spec, workers=2).meta["cells_executed"] == spec.cell_count
 
     def test_cache_shared_between_serial_and_sharded(self, tmp_path):
-        spec = CampaignSpec(implementations=("splice_plb", "splice_fcb"), scenarios=SCENARIOS[:2])
+        spec = CampaignSpec(implementations=("splice_plb", "splice_fcb"), scenarios=SCENARIOS[:2],
+                            kernel="compiled")
         cold = run_campaign(spec, workers=2, cache=tmp_path / "cache")
         warm = run_campaign(spec, workers=1, cache=tmp_path / "cache")
         assert warm.meta["cells_cached"] == spec.cell_count
         assert warm.payload() == cold.payload()
+        store = {STORE_FILENAME + suffix for suffix in ("", "-wal", "-shm")}
+        left = {path.name for path in (tmp_path / "cache").iterdir()}
+        assert STORE_FILENAME in left and left <= store, sorted(left)
 
 
 class TestResultStore:

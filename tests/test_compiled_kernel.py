@@ -573,98 +573,3 @@ class TestEntryCodeReuse:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(memo) == memo.size
-
-
-class TestProgramCache:
-    """Persistent levelization/codegen cache keyed by the design digest."""
-
-    def _build(self, cache_dir):
-        sim = CompiledSimulator(program_cache=cache_dir)
-        _chain(sim)
-        sim.step(5)
-        return sim
-
-    def test_cold_build_populates_and_warm_build_hits(self, tmp_path):
-        cold = self._build(tmp_path)
-        assert cold.design.program_cache_hit is False
-        assert cold.design.digest
-        assert list(tmp_path.glob("*.json")), "no program entry written"
-
-        warm = self._build(tmp_path)
-        assert warm.design.program_cache_hit is True
-        assert warm.design.digest == cold.design.digest
-        assert warm.design.source == cold.design.source
-        assert warm.design.comb_order == cold.design.comb_order
-        assert warm.design.comb_ranks == cold.design.comb_ranks
-        assert warm.cycle == cold.cycle == 5
-
-    def test_different_topology_gets_different_digest(self, tmp_path):
-        first = self._build(tmp_path)
-        other = CompiledSimulator(program_cache=tmp_path)
-        x = other.signal("x", width=8)
-        y = other.signal("y", width=8)
-        other.add_comb(lambda: y.drive(x.value), sensitive_to=[x], drives=[y])
-        other.add_clocked(lambda: setattr(x, "next", x.value + 1))
-        other.compile()
-        assert other.design.digest != first.design.digest
-        assert other.design.program_cache_hit is False
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cold = self._build(tmp_path)
-        for entry in tmp_path.glob("*.json"):
-            entry.write_text("{not json")
-        again = self._build(tmp_path)
-        assert again.design.program_cache_hit is False
-        assert again.design.source == cold.design.source
-
-    def test_truncated_entry_recompiles_and_heals(self, tmp_path):
-        cold = self._build(tmp_path)
-        for entry in tmp_path.glob("*.json"):
-            text = entry.read_text()
-            entry.write_text(text[: len(text) // 2])  # torn write
-        again = self._build(tmp_path)
-        assert again.design.program_cache_hit is False
-        assert again.design.source == cold.design.source
-        # The recompile overwrote the torn entry: the next build hits.
-        healed = self._build(tmp_path)
-        assert healed.design.program_cache_hit is True
-
-    def test_cached_program_is_cycle_exact(self, tmp_path):
-        def run(sim_factory):
-            sim = sim_factory()
-            a, b, c = _chain(sim)
-            sim.step(20)
-            return (a.value, b.value, c.value, sim.cycle)
-
-        fresh = run(CompiledSimulator)
-        run(lambda: CompiledSimulator(program_cache=tmp_path))  # populate
-        warm = run(lambda: CompiledSimulator(program_cache=tmp_path))
-        assert warm == fresh
-
-    def test_env_var_enables_cache(self, tmp_path, monkeypatch):
-        from repro.rtl import PROGRAM_CACHE_ENV
-
-        monkeypatch.setenv(PROGRAM_CACHE_ENV, str(tmp_path))
-        sim = CompiledSimulator()
-        _chain(sim)
-        sim.compile()
-        assert sim.program_cache is not None
-        assert list(tmp_path.glob("*.json"))
-
-    def test_campaign_cache_exports_program_cache(self, tmp_path):
-        from repro.campaign import CampaignSpec, run_campaign
-        from repro.evaluation.scenarios import SCENARIOS
-
-        spec = CampaignSpec(
-            implementations=("splice_plb",),
-            scenarios=SCENARIOS[:1],
-            seeds=(0,),
-            name="progcache-smoke",
-            kernel="compiled",
-        )
-        result = run_campaign(spec, cache=tmp_path / "cache")
-        assert result.meta["cells_executed"] == 1
-        programs = tmp_path / "cache" / "programs"
-        assert programs.is_dir() and list(programs.glob("*.json")), (
-            "campaign run did not populate the compiled-program cache"
-        )

@@ -219,44 +219,32 @@ class TestInjectionIsCycleExact:
         assert fresh.fault_controller.injected == warm.fault_controller.injected == 3
 
 
-class TestCompiledDigestSeparation:
-    """The program cache must never serve a faulted program as clean."""
+class TestCompiledFaultSource:
+    """Only a faulted design generates the fault hook, and clearing its
+    schedule leaves the clean program."""
 
-    @pytest.fixture(autouse=True)
-    def _program_cache(self, tmp_path, monkeypatch):
-        # Digests are only computed when a program cache is attached — which
-        # is exactly the configuration where a collision would be dangerous.
-        from repro.rtl.compile import PROGRAM_CACHE_ENV
-
-        monkeypatch.setenv(PROGRAM_CACHE_ENV, str(tmp_path / "programs"))
-
-    def _digest(self, runner):
+    def _source(self, runner):
         simulator = runner.system.simulator
         simulator.compile()
-        return simulator.design.digest, simulator.design.source
+        return simulator.design.source
 
-    def test_fault_schedule_is_part_of_the_program_digest(self):
-        clean_digest, clean_source = self._digest(build_runner("splice_plb", kernel="compiled"))
-        assert clean_digest
+    def test_a_faulted_design_generates_the_fault_hook(self):
+        clean_source = self._source(build_runner("splice_plb", kernel="compiled"))
+        assert "_fire_faults" not in clean_source
         faulted = build_runner("splice_plb", kernel="compiled")
         faulted.apply_faults("stuck_at_1:IO_ENABLE:40:3")
-        faulted_digest, faulted_source = self._digest(faulted)
-        assert faulted_digest != clean_digest
-        assert "fault" in faulted_source
-        # Distinct schedules get distinct digests.
-        other = build_runner("splice_plb", kernel="compiled")
-        other.apply_faults("bit_flip:DATA_IN:30:1:7")
-        assert self._digest(other)[0] not in (clean_digest, faulted_digest)
+        faulted_source = self._source(faulted)
+        assert faulted_source != clean_source
+        assert "_fire_faults" in faulted_source
 
     def test_clean_design_is_byte_identical_with_faults_cleared(self):
         """Attaching then clearing a schedule leaves no residue: the program
-        source and digest revert to exactly the clean build's."""
-        clean_digest, clean_source = self._digest(build_runner("splice_plb", kernel="compiled"))
+        source reverts to exactly the clean build's."""
+        clean_source = self._source(build_runner("splice_plb", kernel="compiled"))
         runner = build_runner("splice_plb", kernel="compiled")
         runner.apply_faults("stuck_at_1:IO_ENABLE:40:3")
         runner.apply_faults(None)
-        digest, source = self._digest(runner)
-        assert digest == clean_digest
+        source = self._source(runner)
         assert source == clean_source
         assert "_fire_faults" not in source
 

@@ -86,11 +86,14 @@ class OvershootCompiled(CompiledSimulator):
         )
 
 
-class StuckLeapCompiled(CompiledSimulator):
-    """Leaps advance the clock but not the step budget: the run never ends."""
+class PastHorizonLeapCompiled(CompiledSimulator):
+    """A leap clamped one cycle past the call's horizon: a call that ends in
+    a leap returns a cycle late."""
 
     def _codegen(self, *args, **kwargs):
-        return _mutate(super()._codegen(*args, **kwargs), "_done += _skip", "_done += 0")
+        return _mutate(
+            super()._codegen(*args, **kwargs), "_rem = _end - cyc", "_rem = _end - cyc + 1",
+        )
 
 
 def _overshoot_factories(case):
@@ -242,13 +245,34 @@ class TestOracle:
         assert verdict.kind == "divergence"
         assert verdict.kernel == "compiled"
 
-    def test_mutant_built_after_a_clean_run_gets_its_own_code(self):
-        # Entry code is reused across simulators of one process by source
-        # text: a clean run of the same case first must not hand the
-        # mutant the clean code.
+    def test_past_horizon_leap_mutation_is_convicted(self):
+        verdict = run_case(_case(), kernel_factories={
+            "reference": ReferenceSimulator, "compiled": PastHorizonLeapCompiled})
+        assert verdict.kind == "divergence"
+        assert verdict.kernel == "compiled"
+
+    # Entry code is reused across simulators of one process by source text,
+    # so a clean kernel and a mutant that ran the same case before it must
+    # each get their own code.  SPLICE_COMPILE_CACHE once named an on-disk
+    # program cache whose key left out the class that generated a program;
+    # with it set, each ran the other's.  Nothing reads it any more.
+    @pytest.mark.parametrize("old_cache_env", [False, True], ids=["env_unset", "env_set"])
+    def test_mutant_built_after_a_clean_run_gets_its_own_code(
+            self, old_cache_env, monkeypatch, tmp_path):
+        if old_cache_env:
+            monkeypatch.setenv("SPLICE_COMPILE_CACHE", str(tmp_path))
         assert run_case(_case()).ok
         verdict = run_case(_case(), kernel_factories=_overshoot_factories(_case()))
         assert verdict.kind == "divergence"
+
+    @pytest.mark.parametrize("old_cache_env", [False, True], ids=["env_unset", "env_set"])
+    def test_clean_kernel_built_after_a_mutant_run_gets_its_own_code(
+            self, old_cache_env, monkeypatch, tmp_path):
+        if old_cache_env:
+            monkeypatch.setenv("SPLICE_COMPILE_CACHE", str(tmp_path))
+        verdict = run_case(_case(), kernel_factories=_overshoot_factories(_case()))
+        assert verdict.kind == "divergence"
+        assert run_case(_case()).kind == "pass"
 
     def test_crash_is_contained(self):
         verdict = run_case(

@@ -364,13 +364,17 @@ class TestFarm:
         both cells and the shard's end on the pipe before the dispatcher
         reads any of them.  The first cell's cache write raises, and that
         fails the job before the shard's end can finish it, and wakes a
-        waiter already asleep in ``wait``."""
+        waiter already asleep in ``wait``.  The dispatcher then re-raises
+        the put's error and ends."""
         from repro.campaign.cache import ResultCache
 
         def put(self, cell, outcome):
             raise sqlite3.OperationalError("database or disk is full")
 
+        raised = []
         monkeypatch.setattr(ResultCache, "put", put)
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda args: raised.append((args.thread, args.exc_value)))
         _register("zz_slow", _SlowRunner)
         try:
             spec = CampaignSpec(implementations=("zz_slow",), scenarios=SCENARIOS[:2],
@@ -394,6 +398,13 @@ class TestFarm:
                 assert woke and woke[0][0] == FAILED
                 assert woke[0][1] - released < 2.0, "the waiter slept out its timeout"
                 assert "dispatcher failed: OperationalError" in job.events[-1]["reason"]
+                farm._dispatcher.join(timeout=10)
+                assert not farm._dispatcher.is_alive()
+                assert len(raised) == 1
+                thread, error = raised[0]
+                assert thread is farm._dispatcher
+                assert isinstance(error, sqlite3.OperationalError)
+                assert str(error) == "database or disk is full"
         finally:
             _unregister("zz_slow")
 
