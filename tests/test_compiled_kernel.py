@@ -573,3 +573,89 @@ class TestEntryCodeReuse:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(memo) == memo.size
+
+
+class TestProgramCache:
+    """The one program cache left is per process: the entry-code memo, keyed
+    by the SHA-256 digest of each entry's source.  Nothing persists."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self, monkeypatch):
+        from repro.rtl.compile import ENTRY_CODE_MEMO_SIZE
+        from repro.rtl.memo import LruMemo
+
+        self.memo = LruMemo(ENTRY_CODE_MEMO_SIZE)
+        monkeypatch.setattr(sys.modules["repro.rtl.compile"], "_ENTRY_CODE", self.memo)
+
+    def _build(self):
+        sim = CompiledSimulator()
+        _chain(sim)
+        sim.step(5)
+        sim.compile()
+        return sim
+
+    @staticmethod
+    def _digests(sim):
+        return {name: hashlib.sha256(text.encode()).digest() for name, text in sim._sources.items()}
+
+    def test_cold_build_populates_and_warm_build_hits(self):
+        cold = self._build()
+        assert len(self.memo) == len(set(self._digests(cold).values())) == len(ENTRY_POINTS)
+
+        warm = self._build()
+        assert len(self.memo) == len(ENTRY_POINTS)
+        for name in ENTRY_POINTS:
+            assert warm._entries[name].__code__ is cold._entries[name].__code__
+        assert warm.design.source == cold.design.source
+        assert warm.design.comb_order == cold.design.comb_order
+        assert warm.design.comb_ranks == cold.design.comb_ranks
+        assert warm.cycle == cold.cycle == 5
+
+    def test_different_topology_gets_different_digest(self):
+        first = self._build()
+        other = CompiledSimulator()
+        x = other.signal("x", width=8)
+        y = other.signal("y", width=8)
+        other.add_comb(lambda: y.drive(x.value), sensitive_to=[x], drives=[y])
+        other.add_clocked(lambda: setattr(x, "next", x.value + 1))
+        other.compile()
+        first_digests, other_digests = self._digests(first), self._digests(other)
+        new = set(other_digests.values()) - set(first_digests.values())
+        assert new, "a different topology generated the same program"
+        assert len(self.memo) == len(ENTRY_POINTS) + len(new)
+        for name in ENTRY_POINTS:
+            shared = other._entries[name].__code__ is first._entries[name].__code__
+            assert shared == (other_digests[name] == first_digests[name])
+
+    def test_cached_program_is_cycle_exact(self):
+        def run(sim):
+            a, b, c = _chain(sim)
+            sim.step(20)
+            return (a.value, b.value, c.value, sim.cycle)
+
+        cold_sim, warm_sim = CompiledSimulator(), CompiledSimulator()
+        cold, warm = run(cold_sim), run(warm_sim)
+        assert warm_sim._entries["wait_eq"].__code__ is cold_sim._entries["wait_eq"].__code__
+        assert warm == cold == run(Simulator())
+
+    def test_a_freeze_reads_no_environment_and_keeps_no_cache_handle(self, monkeypatch):
+        """``perfbench/tracer.py`` reads ``program_cache`` after every freeze
+        and counts a lookup only when it is set, so it stays, always None."""
+        import os
+
+        reads = []
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(os, "environ", Recording(os.environ))
+        sim = self._build()
+        assert reads == []
+        assert CompiledSimulator.program_cache is None
+        assert sim.program_cache is None

@@ -9,6 +9,7 @@ faulted result as clean), the monitor-efficacy matrix, the campaign fault
 axis with its structured error records, and the ``splice faults`` CLI.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -219,34 +220,51 @@ class TestInjectionIsCycleExact:
         assert fresh.fault_controller.injected == warm.fault_controller.injected == 3
 
 
-class TestCompiledFaultSource:
-    """Only a faulted design generates the fault hook, and clearing its
-    schedule leaves the clean program."""
+class TestCompiledDigestSeparation:
+    """The entry-code memo must never serve a faulted program as clean.
 
-    def _source(self, runner):
+    The memo is keyed by the SHA-256 digest of each entry's source, so a
+    schedule must show in the source: a faulted design generates the fault
+    hook, and clearing its schedule restores the clean source byte for byte.
+    """
+
+    def _program(self, runner):
         simulator = runner.system.simulator
         simulator.compile()
-        return simulator.design.source
+        digests = {
+            name: hashlib.sha256(text.encode()).digest()
+            for name, text in simulator._sources.items()
+        }
+        return simulator, digests
 
-    def test_a_faulted_design_generates_the_fault_hook(self):
-        clean_source = self._source(build_runner("splice_plb", kernel="compiled"))
-        assert "_fire_faults" not in clean_source
-        faulted = build_runner("splice_plb", kernel="compiled")
-        faulted.apply_faults("stuck_at_1:IO_ENABLE:40:3")
-        faulted_source = self._source(faulted)
-        assert faulted_source != clean_source
-        assert "_fire_faults" in faulted_source
+    def test_fault_schedule_is_part_of_the_program_digest(self):
+        clean, clean_digests = self._program(build_runner("splice_plb", kernel="compiled"))
+        assert "_fire_faults" not in clean.design.source
+        runner = build_runner("splice_plb", kernel="compiled")
+        runner.apply_faults("stuck_at_1:IO_ENABLE:40:3")
+        faulted, faulted_digests = self._program(runner)
+        hooked = [name for name, text in faulted._sources.items() if "_fire_faults" in text]
+        assert hooked
+        for name in hooked:
+            assert faulted_digests[name] != clean_digests[name]
+            assert faulted._entries[name].__code__ is not clean._entries[name].__code__
+        # The schedule itself is data (``_next_fault``): another schedule
+        # runs the same faulted program.
+        other = build_runner("splice_plb", kernel="compiled")
+        other.apply_faults("bit_flip:DATA_IN:30:1:7")
+        assert self._program(other)[1] == faulted_digests
 
     def test_clean_design_is_byte_identical_with_faults_cleared(self):
         """Attaching then clearing a schedule leaves no residue: the program
-        source reverts to exactly the clean build's."""
-        clean_source = self._source(build_runner("splice_plb", kernel="compiled"))
+        source and digests revert to exactly the clean build's."""
+        clean, clean_digests = self._program(build_runner("splice_plb", kernel="compiled"))
         runner = build_runner("splice_plb", kernel="compiled")
         runner.apply_faults("stuck_at_1:IO_ENABLE:40:3")
         runner.apply_faults(None)
-        source = self._source(runner)
-        assert source == clean_source
-        assert "_fire_faults" not in source
+        simulator, digests = self._program(runner)
+        assert digests == clean_digests
+        assert simulator.design.source == clean.design.source
+        assert "_fire_faults" not in simulator.design.source
 
 
 class TestFaultMatrix:

@@ -253,26 +253,31 @@ class TestOracle:
 
     # Entry code is reused across simulators of one process by source text,
     # so a clean kernel and a mutant that ran the same case before it must
-    # each get their own code.  SPLICE_COMPILE_CACHE once named an on-disk
-    # program cache whose key left out the class that generated a program;
-    # with it set, each ran the other's.  Nothing reads it any more.
-    @pytest.mark.parametrize("old_cache_env", [False, True], ids=["env_unset", "env_set"])
-    def test_mutant_built_after_a_clean_run_gets_its_own_code(
-            self, old_cache_env, monkeypatch, tmp_path):
-        if old_cache_env:
-            monkeypatch.setenv("SPLICE_COMPILE_CACHE", str(tmp_path))
+    # each get their own code.
+    def _clean_then_mutant(self):
         assert run_case(_case()).ok
         verdict = run_case(_case(), kernel_factories=_overshoot_factories(_case()))
         assert verdict.kind == "divergence"
 
-    @pytest.mark.parametrize("old_cache_env", [False, True], ids=["env_unset", "env_set"])
-    def test_clean_kernel_built_after_a_mutant_run_gets_its_own_code(
-            self, old_cache_env, monkeypatch, tmp_path):
-        if old_cache_env:
-            monkeypatch.setenv("SPLICE_COMPILE_CACHE", str(tmp_path))
+    def _mutant_then_clean(self):
         verdict = run_case(_case(), kernel_factories=_overshoot_factories(_case()))
         assert verdict.kind == "divergence"
         assert run_case(_case()).kind == "pass"
+
+    def test_mutant_built_after_a_clean_run_gets_its_own_code(self):
+        self._clean_then_mutant()
+
+    def test_clean_kernel_built_after_a_mutant_run_gets_its_own_code(self):
+        self._mutant_then_clean()
+
+    # SPLICE_COMPILE_CACHE once named an on-disk program cache whose key left
+    # out the class that generated a program; with it set, each order above
+    # ran the other kernel's program.  Nothing reads or writes it any more.
+    @pytest.mark.parametrize("order", ["clean_first", "mutant_first"])
+    def test_the_old_cache_variable_changes_neither_order(self, order, monkeypatch, tmp_path):
+        monkeypatch.setenv("SPLICE_COMPILE_CACHE", str(tmp_path))
+        {"clean_first": self._clean_then_mutant, "mutant_first": self._mutant_then_clean}[order]()
+        assert list(tmp_path.iterdir()) == []
 
     def test_crash_is_contained(self):
         verdict = run_case(
