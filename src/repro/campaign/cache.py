@@ -20,6 +20,10 @@ SQLite's locks serialise writers across threads and processes, so the
 farm's dispatcher and any number of campaign processes can share one
 directory, and a reader never sees a torn row.
 
+:meth:`ResultCache.lookup` answers a whole grid's cells, as a submit asks,
+with one ``SELECT ... WHERE digest IN (...)`` per :data:`LOOKUP_CHUNK`
+digests instead of one query per cell.
+
 Damage degrades to recomputation.  A row whose entry does not parse, or has
 the wrong shape, is a miss and is overwritten by the next put; so is a read
 that SQLite reports as an error.  A store file that SQLite does not
@@ -95,6 +99,9 @@ DAMAGED_FILENAME = STORE_FILENAME + ".damaged"
 CACHE_SIZE_KIB = 64
 #: How long a statement waits for another writer before it fails.
 BUSY_TIMEOUT_S = 30.0
+#: Digests per :meth:`ResultCache.lookup` query, under the 999 bound
+#: parameters that SQLite builds before 3.32 allow.
+LOOKUP_CHUNK = 900
 
 
 def _enter_wal_mode(conn: sqlite3.Connection) -> None:
@@ -207,22 +214,33 @@ class ResultCache:
                 ).fetchone()
         except (sqlite3.DatabaseError, OSError):
             return None  # an unreadable store: recompute the cell
-        if row is None:
-            return None
-        try:
-            outcome = json.loads(row[0])["outcome"]
-            return (int(outcome[0]), int(outcome[1]), int(outcome[2]))
-        except (ValueError, KeyError, IndexError, TypeError):
-            return None  # corrupt entry: treat as a miss and overwrite later
+        return None if row is None else _outcome(row[0])
 
     def lookup(self, cells: Iterable[CampaignCell]) -> Dict[tuple, Tuple[int, int, int]]:
-        """The cached outcome of each of ``cells`` that has one, by ``cell.key``."""
-        found = {}
-        for cell in cells:
-            outcome = self.get(cell)
-            if outcome is not None:
-                found[cell.key] = outcome
-        return found
+        """The cached outcome of each of ``cells`` that has one, by ``cell.key``
+        in the order of ``cells``: what :meth:`get` answers for each, read
+        with one query per :data:`LOOKUP_CHUNK` distinct digests.  A chunk
+        the store fails to read is a miss for each of its cells."""
+        cells = list(cells)
+        digests = [cell_digest(cell) for cell in cells]
+        distinct = list(dict.fromkeys(digests))
+        stored = {}
+        for start in range(0, len(distinct), LOOKUP_CHUNK):
+            chunk = distinct[start:start + LOOKUP_CHUNK]
+            try:
+                with self._lock:
+                    rows = self._connection().execute(
+                        "SELECT digest, entry FROM results WHERE digest IN"
+                        f" ({','.join('?' * len(chunk))})", chunk,
+                    ).fetchall()
+            except (sqlite3.DatabaseError, OSError):
+                continue  # an unreadable store: recompute these cells
+            for digest, entry in rows:
+                outcome = _outcome(entry)
+                if outcome is not None:
+                    stored[digest] = outcome
+        return {cell.key: stored[digest] for cell, digest in zip(cells, digests)
+                if digest in stored}
 
     def put(self, cell: CampaignCell, outcome: Tuple[int, int, int]) -> None:
         """Persist ``outcome``; it is committed when this returns."""
@@ -243,3 +261,14 @@ class ResultCache:
             return self._connection().execute(
                 "SELECT COUNT(*) FROM results"
             ).fetchone()[0]
+
+
+def _outcome(entry) -> Optional[Tuple[int, int, int]]:
+    """A stored entry's (result, cycles, transactions), or ``None`` for an
+    entry that does not parse or has the wrong shape: a miss, which the next
+    put of the cell overwrites."""
+    try:
+        outcome = json.loads(entry)["outcome"]
+        return (int(outcome[0]), int(outcome[1]), int(outcome[2]))
+    except (ValueError, KeyError, IndexError, TypeError):
+        return None

@@ -31,12 +31,13 @@ class Scenario:
     def generate_inputs(self, seed: int = 0) -> Tuple[List[int], List[int], List[int]]:
         """Deterministic input data with the Figure 9.1 element counts."""
         rng = np.random.default_rng(self.number * 1000 + seed)
-        set1 = np.sort(rng.integers(0, 1 << 16, size=self.set1)).astype(np.int64)
-        set2 = rng.integers(0, 1 << 12, size=self.set2).astype(np.int64)
-        lo = int(set1.min()) if self.set1 else 0
-        hi = int(set1.max()) if self.set1 else 1
-        set3 = rng.integers(lo, max(hi, lo + 1), size=self.set3).astype(np.int64)
-        return [int(v) for v in set1], [int(v) for v in set2], [int(v) for v in set3]
+        stamps = rng.integers(0, 1 << 16, size=self.set1)
+        stamps.sort()
+        set1 = stamps.tolist()
+        set2 = rng.integers(0, 1 << 12, size=self.set2).tolist()
+        lo, hi = (set1[0], set1[-1]) if set1 else (0, 1)
+        set3 = rng.integers(lo, max(hi, lo + 1), size=self.set3).tolist()
+        return set1, set2, set3
 
 
 #: Figure 9.1 — input parameters required for each scenario.

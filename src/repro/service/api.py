@@ -52,6 +52,14 @@ sockets have Nagle's algorithm off and a JSON response leaves in one send,
 so a request on a kept-alive connection never waits for the client's
 delayed ACK.  :meth:`FarmHTTPServer.server_close` also shuts the
 connections it keeps open, so a stopped server answers nothing more.
+
+A request's header block is read by
+:func:`~repro.service.headers.read_headers`, not by the stdlib's email
+parser, which costs several times as much.  The request is still parsed as the stdlib parses it: the same limits (a
+header line of at most 65,536 bytes, fewer than 100 header lines, else
+431), the same 400 and 505 answers to a bad request line, the first
+occurrence of a repeated field, and the same ``Connection`` and ``Expect:
+100-continue`` handling.
 """
 
 from __future__ import annotations
@@ -60,6 +68,8 @@ import json
 import re
 import socket
 import threading
+from http import HTTPStatus
+from http.client import HTTPException, LineTooLong
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -73,6 +83,7 @@ from repro.service.jobs import (
     ResultUnavailable,
     RetiredJob,
 )
+from repro.service.headers import read_headers
 
 _JOB_PATH = re.compile(r"^/jobs/([A-Za-z0-9_.-]+)(/events|/result)?$")
 
@@ -89,6 +100,80 @@ class FarmRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True  # TCP_NODELAY on every accepted socket
 
     # -- plumbing ----------------------------------------------------------------
+
+    def parse_request(self) -> bool:
+        """The stdlib's request parsing, with the header block read by
+        :func:`~repro.service.headers.read_headers`.  It answers as the
+        stdlib does: 400 for a malformed request line or version, 505 for
+        HTTP/2 and later, 431 for an over-long header line or too many
+        header lines; and it honours ``Connection`` and ``Expect:
+        100-continue`` the same way."""
+        self.command = None
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                base_version_number = version.split("/", 1)[1]
+                version_number = base_version_number.split(".")
+                if len(version_number) != 2 or any(
+                        not part.isdigit() or len(part) > 10 for part in version_number):
+                    raise ValueError
+                version_number = int(version_number[0]), int(version_number[1])
+            except (ValueError, IndexError):
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                "Bad request version (%r)" % version)
+                return False
+            if version_number >= (1, 1) and self.protocol_version >= "HTTP/1.1":
+                self.close_connection = False
+            if version_number >= (2, 0):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                "Invalid HTTP version (%s)" % base_version_number)
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            "Bad request syntax (%r)" % requestline)
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                "Bad HTTP/0.9 request type (%r)" % command)
+                return False
+        self.command, self.path = command, path
+        # A path starting '//' would read as a scheme-relative URL (another
+        # host) to a client that follows it: an open redirect.
+        if self.path.startswith("//"):
+            self.path = "/" + self.path.lstrip("/")
+        try:
+            self.headers = read_headers(self.rfile)
+        except LineTooLong as err:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                            "Line too long", str(err))
+            return False
+        except HTTPException as err:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                            "Too many headers", str(err))
+            return False
+        conntype = self.headers.get("Connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif conntype == "keep-alive" and self.protocol_version >= "HTTP/1.1":
+            self.close_connection = False
+        if (self.headers.get("Expect", "").lower() == "100-continue"
+                and self.protocol_version >= "HTTP/1.1"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
 
     def log_message(self, format, *args):  # noqa: A002 — stdlib signature
         if not self.quiet:

@@ -1,10 +1,16 @@
 """Stdlib HTTP client for the farm API (used by ``splice submit``).
 
-A thin wrapper over :mod:`http.client` with a line-buffered NDJSON reader
-for the streaming events endpoint.  Each calling thread keeps one HTTP/1.1
+Built on :mod:`http.client`, with a line-buffered NDJSON reader for the
+streaming events endpoint.  Each calling thread keeps one HTTP/1.1
 connection open and sends all its requests over it, event streams included
 (the server ends a stream with the zero-length chunk), so a job's submit,
-stream and status calls cost one TCP connection, not three.  Kept
+stream and status calls cost one TCP connection, not three.  Each
+connection's ``response_class`` reads a response's header block with
+:func:`~repro.service.headers.read_headers` instead of the stdlib's email
+parser, under the stdlib's limits (lines of at most 65,536 bytes, fewer
+than 100 header lines, raising ``LineTooLong`` or ``HTTPException``
+beyond them); the status line, the ``Transfer-Encoding``, ``Connection``
+and ``Content-Length`` rules and the body are the stdlib's.  Kept
 dependency-free so examples and CI scripts can drive a farm with nothing
 but the standard library.
 """
@@ -16,11 +22,20 @@ import socket
 import threading
 import time
 import uuid
-from http.client import HTTPConnection, HTTPException
+from http.client import (
+    CONTINUE,
+    NO_CONTENT,
+    NOT_MODIFIED,
+    HTTPConnection,
+    HTTPException,
+    HTTPResponse,
+    UnknownProtocol,
+)
 from typing import Iterator, Mapping, Optional, Set, Union
 from urllib.parse import urlparse
 
 from repro.campaign.spec import CampaignSpec
+from repro.service.headers import read_headers
 
 
 class ServiceError(RuntimeError):
@@ -38,6 +53,56 @@ class ServiceError(RuntimeError):
         self.status = status
         self.payload = payload
         self.retry_after = retry_after
+
+
+class _Response(HTTPResponse):
+    """An ``HTTPResponse`` whose header block is read by
+    :func:`~repro.service.headers.read_headers`; the status line, the
+    ``Transfer-Encoding``, ``Connection`` and ``Content-Length`` rules and
+    the body are the stdlib's."""
+
+    def begin(self) -> None:
+        if self.headers is not None:
+            return  # already begun
+        while True:
+            version, status, reason = self._read_status()
+            if status != CONTINUE:
+                break
+            read_headers(self.fp)  # an interim 100 response's header block
+        self.code = self.status = status
+        self.reason = reason.strip()
+        if version in ("HTTP/1.0", "HTTP/0.9"):
+            self.version = 10
+        elif version.startswith("HTTP/1."):
+            self.version = 11
+        else:
+            raise UnknownProtocol(version)
+        self.headers = self.msg = read_headers(self.fp)
+
+        transfer_encoding = self.headers.get("transfer-encoding")
+        if transfer_encoding and transfer_encoding.lower() == "chunked":
+            self.chunked = True
+            self.chunk_left = None
+        else:
+            self.chunked = False
+        self.will_close = self._check_close()
+        # A chunked body's Content-Length is ignored (RFC 9112, 6.3).
+        self.length = None
+        length = self.headers.get("content-length")
+        if length and not self.chunked:
+            try:
+                self.length = int(length)
+            except ValueError:
+                pass
+            else:
+                if self.length < 0:
+                    self.length = None
+        if (status in (NO_CONTENT, NOT_MODIFIED) or 100 <= status < 200
+                or self._method == "HEAD"):
+            self.length = 0
+        # Without chunks or a length, only the connection's close ends the body.
+        if not self.will_close and not self.chunked and self.length is None:
+            self.will_close = True
 
 
 def _dropped(sock: socket.socket) -> bool:
@@ -124,7 +189,9 @@ class ServiceClient:
         connection = getattr(self._local, "connection", None)
         self._local.connection = None
         if connection is None:
-            return HTTPConnection(self.host, self.port, timeout=self.timeout)
+            connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
+            connection.response_class = _Response
+            return connection
         with self._idle_lock:
             self._idle.discard(connection)
         if connection.sock is not None and _dropped(connection.sock):

@@ -26,8 +26,12 @@ is the shell that feeds it events and carries out its effects.  It owns:
 * a dispatcher thread that hands the scheduler every worker message (and
   carries out its effects before reading the next), each worker's exit
   after that worker's last messages, and a tick at least every
-  :data:`POLL_INTERVAL_S`.  If the thread raises, every active job fails
-  with the error.
+  :data:`POLL_INTERVAL_S`.  It waits on one selector, built when the farm
+  starts, over the wake pipe and every worker's result pipe: a respawned
+  worker's pipe is registered once, a dead one leaves the selector before
+  it is closed, and whether a pipe has another message waiting is asked of
+  the same selector, so no selector is built per wait or per message.  If
+  the thread raises, every active job fails with the error.
 
 Campaign grids (shards of cells) and fuzz jobs (one deterministic
 ``(seed, budget)`` session per shard, findings streamed as they land and
@@ -43,11 +47,11 @@ from __future__ import annotations
 
 import multiprocessing
 import re
+import selectors
 import shutil
 import tempfile
 import threading
 import time
-from multiprocessing import connection
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Union
 
@@ -141,15 +145,14 @@ class SimulationFarm:
         self.history_path = None if history_path is None else Path(history_path)
 
         # Without an explicit cache directory the farm still runs one — an
-        # ephemeral per-instance directory — because the cache is what makes
-        # serving cheap: repeat submissions short-circuit.
+        # ephemeral directory for each run, made by start() and removed by
+        # stop() — because the cache is what makes serving cheap: repeat
+        # submissions short-circuit.
+        self._ephemeral = cache is None
         self._ephemeral_cache_dir: Optional[str] = None
-        if cache is None:
-            self._ephemeral_cache_dir = tempfile.mkdtemp(prefix="splice-farm-cache-")
-            cache = ResultCache(self._ephemeral_cache_dir)
-        elif isinstance(cache, (str, Path)):
+        if isinstance(cache, (str, Path)):
             cache = ResultCache(cache)
-        self.cache = cache
+        self.cache: Optional[ResultCache] = cache
 
         self._cond = threading.Condition()
         self._core = Scheduler(
@@ -171,6 +174,9 @@ class SimulationFarm:
         # each report on a pipe of their own (see repro.service.worker).
         self._wake_reader = self._wake_writer = None
         self._wake_lock = threading.Lock()
+        #: The dispatcher's one selector over the wake pipe and every open
+        #: worker result pipe; only the dispatcher thread changes it.
+        self._selector: Optional[selectors.BaseSelector] = None
         self._dispatcher: Optional[threading.Thread] = None
 
     @property
@@ -194,10 +200,22 @@ class SimulationFarm:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> "SimulationFarm":
+        """Start the workers and the dispatcher.  If a worker fails to start,
+        the farm closes what it opened, workers included, and re-raises."""
         if self._running:
             return self
-        self._wake_reader, self._wake_writer = self._ctx.Pipe(duplex=False)
-        self._procs = [self._spawn(worker_id) for worker_id in range(self.worker_count)]
+        try:
+            if self._ephemeral:
+                self._ephemeral_cache_dir = tempfile.mkdtemp(prefix="splice-farm-cache-")
+                self.cache = self._core.cache = ResultCache(self._ephemeral_cache_dir)
+            self._selector = selectors.DefaultSelector()
+            self._wake_reader, self._wake_writer = self._ctx.Pipe(duplex=False)
+            self._selector.register(self._wake_reader, selectors.EVENT_READ)
+            for worker_id in range(self.worker_count):
+                self._procs.append(self._spawn(worker_id))
+        except BaseException:
+            self._close()
+            raise
         self._running = True
         self._started_at = time.perf_counter()
         self._dispatcher = threading.Thread(
@@ -219,6 +237,11 @@ class SimulationFarm:
             self._apply()
         self._wake()
         self._dispatcher.join(timeout=10)
+        self._close()
+
+    def _close(self) -> None:
+        """Stop the workers; close the pipes, the selector, the journal and
+        the cache; remove an ephemeral cache directory."""
         for handle in self._procs:
             try:
                 handle.task_queue.put(None)
@@ -232,13 +255,19 @@ class SimulationFarm:
             handle.task_queue.close()
             handle.task_queue.cancel_join_thread()
             handle.results.close()
-        self._wake_reader.close()
-        self._wake_writer.close()
+        self._procs = []
+        if self._wake_reader is not None:
+            self._wake_reader.close()
+            self._wake_writer.close()
+        if self._selector is not None:
+            self._selector.close()
         if self._journal is not None:
             self._journal.close()
-        self.cache.close()
+        if self.cache is not None:
+            self.cache.close()
         if self._ephemeral_cache_dir is not None:
             shutil.rmtree(self._ephemeral_cache_dir, ignore_errors=True)
+            self._ephemeral_cache_dir = None
 
     def __enter__(self) -> "SimulationFarm":
         return self.start()
@@ -444,18 +473,15 @@ class SimulationFarm:
         so a restart resumes it, and the farm accepts no new job."""
         try:
             while True:
-                # Only this thread replaces workers, so the list needs no lock.
-                readers = [h.results for h in self._procs if not h.results.closed]
                 try:
-                    ready = connection.wait(readers + [self._wake_reader],
-                                            timeout=POLL_INTERVAL_S)
-                except OSError:
-                    return
+                    ready = self._selector.select(POLL_INTERVAL_S)
+                except (OSError, ValueError):
+                    return  # the farm closed the selector
                 with self._cond:
                     if not self._running:
                         return
-                    for reader in ready:
-                        self._drain(reader)
+                    for key, _events in ready:
+                        self._drain(key.fileobj)
                     for handle in self._procs:
                         if not handle.process.is_alive():
                             # Whatever the worker reported before it died
@@ -476,19 +502,28 @@ class SimulationFarm:
         ``reader``, carrying out each one's effects before the next is read:
         a cell whose cache write fails must fail its job before a later
         ``shard_done`` can finish it."""
-        while True:
+        while not reader.closed and self._readable(reader):
             try:
-                if not reader.poll():
-                    return
                 message = reader.recv()
             except (EOFError, OSError):
                 # The worker has exited, possibly mid-message; the dispatcher
                 # reports the exit once the process is reaped.
-                reader.close()
+                self._close_results(reader)
                 return
             if message[0] != "wake":
                 self._core.message(message)
                 self._apply()
+
+    def _readable(self, reader) -> bool:
+        """Whether ``reader`` has a message (or its end) waiting, asked of the
+        dispatcher's selector without blocking."""
+        return any(key.fileobj is reader for key, _events in self._selector.select(0))
+
+    def _close_results(self, reader) -> None:
+        """Close a worker's result pipe, leaving the selector first."""
+        if not reader.closed:
+            self._selector.unregister(reader)
+            reader.close()
 
     def _apply(self) -> None:
         """Lock held: carry out the scheduler's effects, in order.  Journal
@@ -509,7 +544,7 @@ class SimulationFarm:
                 dead = self._procs[target]
                 dead.task_queue.close()
                 dead.task_queue.cancel_join_thread()
-                dead.results.close()
+                self._close_results(dead.results)
                 self._procs[target] = self._spawn(target)
             elif kind == "save_finding":
                 self._save_finding(target)
@@ -517,7 +552,9 @@ class SimulationFarm:
                 self._append_history(target)
 
     def _spawn(self, worker_id: int) -> WorkerHandle:
-        return spawn_worker(self._ctx, worker_id, self.preload)
+        handle = spawn_worker(self._ctx, worker_id, self.preload)
+        self._selector.register(handle.results, selectors.EVENT_READ)
+        return handle
 
     def _journal_sync(self) -> None:
         if self._journal is not None:
@@ -570,7 +607,7 @@ class SimulationFarm:
         """Queue depth, per-worker stats, utilization, cache hit rate."""
         # Counted before taking the farm lock, which every submit and the
         # dispatcher need: the count reads the whole store.
-        cache_entries = len(self.cache)
+        cache_entries = 0 if self.cache is None else len(self.cache)
         with self._cond:
             core = self._core
             workers = len(self._procs)

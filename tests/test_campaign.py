@@ -178,6 +178,32 @@ class TestScenarioEdgeCases:
         sets = empty.generate_inputs(seed=0)
         assert sets == ([], [], [])
 
+    def test_inputs_equal_the_numpy_array_reference(self):
+        """Every Figure 9.1 row, geometric rows up to 255 and the empty-set
+        rows generate what the array-based reference below generates, as
+        plain ints, so the cell digests built from them are unchanged."""
+        import numpy as np
+
+        def reference(self, seed=0):
+            rng = np.random.default_rng(self.number * 1000 + seed)
+            set1 = np.sort(rng.integers(0, 1 << 16, size=self.set1)).astype(np.int64)
+            set2 = rng.integers(0, 1 << 12, size=self.set2).astype(np.int64)
+            lo = int(set1.min()) if self.set1 else 0
+            hi = int(set1.max()) if self.set1 else 1
+            set3 = rng.integers(lo, max(hi, lo + 1), size=self.set3).astype(np.int64)
+            return [int(v) for v in set1], [int(v) for v in set2], [int(v) for v in set3]
+
+        geometric = ScenarioSweep(mode="geometric", count=9, base=(1, 1, 1),
+                                  max_size=255).scenarios()
+        assert max(row.set1 for row in geometric) == 255
+        rows = (*SCENARIOS, *geometric,
+                *ScenarioSweep(mode="degenerate", count=6).scenarios())
+        for row in rows:
+            for seed in range(100):
+                sets = row.generate_inputs(seed=seed)
+                assert sets == reference(row, seed), (row, seed)
+                assert all(type(value) is int for part in sets for value in part)
+
     @pytest.mark.parametrize("label", ["splice_plb", "splice_fcb", "simple_plb", "optimized_fcb"])
     def test_empty_sets_run_end_to_end(self, label):
         from repro.devices.interpolator import interpolate_fixed_point
@@ -668,6 +694,41 @@ class TestCache:
         assert healed.payload() == cold.payload()
         warm = run_campaign(spec, cache=tmp_path / "cache")
         assert warm.meta["cells_cached"] == spec.cell_count
+
+    def test_lookup_answers_what_get_answers_in_chunked_queries(self, tmp_path):
+        """Over 1,200 cells, more than one query's worth, ``lookup`` equals
+        per-cell ``get``: a stored cell is found, a missing one and a
+        corrupt row are misses.  A store that cannot be read answers
+        nothing."""
+        cells = CampaignSpec(implementations=("splice_plb",), scenarios=SCENARIOS,
+                             seeds=tuple(range(300))).cells()
+        assert len(cells) == 1200
+        cache = ResultCache(tmp_path)
+        for index, cell in enumerate(cells):
+            if index % 3:
+                cache.put(cell, (index, 2 * index, 3 * index))
+        corrupt = [cell_digest(cell) for cell in cells[1::30]]
+        with _store(tmp_path) as store:
+            store.executemany("UPDATE results SET entry = ? WHERE digest = ?",
+                              [("not json", digest) for digest in corrupt])
+        statements = []
+        cache._connection().set_trace_callback(statements.append)
+        found = cache.lookup(cells)
+        cache._connection().set_trace_callback(None)
+        queries = [s for s in statements if s.startswith("SELECT digest, entry")]
+        assert 1 < len(queries) < len(cells)
+        expected = {cell.key: cache.get(cell) for cell in cells}
+        assert found == {key: outcome for key, outcome in expected.items()
+                         if outcome is not None}
+        assert list(found) == [cell.key for cell in cells if cell.key in found]
+        assert len(found) == 800 - len(corrupt)
+
+        cache.close()
+        for name in (STORE_FILENAME, STORE_FILENAME + "-wal", STORE_FILENAME + "-shm"):
+            (tmp_path / name).unlink(missing_ok=True)
+        (tmp_path / STORE_FILENAME).mkdir()
+        assert cache.lookup(cells) == {}
+        assert cache.get(cells[1]) is None
 
     def test_a_farm_run_looks_each_cell_up_once(self, tmp_path, monkeypatch):
         """The runner's lookup is the only one; without a cache a farm run

@@ -204,6 +204,62 @@ class TestFarm:
         with pytest.raises(RuntimeError):
             farm.submit(small_spec())
 
+    def test_a_farm_that_never_starts_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        """A farm without a cache makes its cache directory when it starts.
+        One that is dropped unstarted leaves none, and one whose start fails
+        on its second worker removes it and stops the first worker."""
+        import tempfile
+
+        import repro.service.farm as farm_mod
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+        def leftovers():
+            workers = [p for p in multiprocessing.active_children()
+                       if p.name.startswith("splice-farm-worker")]
+            return workers + list(tmp_path.glob("splice-farm-cache-*"))
+
+        farm = SimulationFarm(workers=1)
+        assert farm.kill_worker() is None
+        del farm
+        assert leftovers() == []
+
+        spawn = farm_mod.spawn_worker
+
+        def second_fails(context, worker_id, preload):
+            if worker_id == 1:
+                raise OSError("fork failed")
+            return spawn(context, worker_id, preload)
+
+        monkeypatch.setattr(farm_mod, "spawn_worker", second_fails)
+        with pytest.raises(OSError, match="fork failed"):
+            with SimulationFarm(workers=2):
+                pass
+        assert leftovers() == []
+
+    def test_a_job_builds_no_selector_per_message(self, monkeypatch):
+        """The dispatcher waits on one selector for the farm's whole life,
+        so a 64-cell job builds no more selectors than a 4-cell one."""
+        import selectors
+
+        built = []
+        init = selectors._BaseSelectorImpl.__init__
+
+        def counting(self):
+            built.append(type(self).__name__)
+            init(self)
+
+        with SimulationFarm(workers=1) as farm:
+            counts = []
+            for count in (4, 64):
+                monkeypatch.setattr(selectors._BaseSelectorImpl, "__init__", counting)
+                job = farm.submit(small_spec(count=count, name=f"selectors-{count}"))
+                assert job.wait(timeout=120) == DONE
+                monkeypatch.undo()
+                counts.append(len(built))
+                built.clear()
+        assert counts[1] <= counts[0], counts
+
     @fork_only
     def test_priority_cancel_and_timeout_semantics(self):
         """One slow worker, deterministic queueing behind it.
